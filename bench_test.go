@@ -134,34 +134,6 @@ func BenchmarkPOSHGNNStep(b *testing.B) {
 	}
 }
 
-// BenchmarkPOSHGNNStepSparseVsDense contrasts the CSR message-passing path
-// (the default) against the retained dense-adjacency compat path at the
-// paper's full room size — the per-step asymptotic win (O(E·d) vs O(N²·d))
-// behind the `-exp scale` sweep. Fresh DOGs per sub-bench keep the dense
-// path's per-frame N² materialization honestly in its numbers.
-func BenchmarkPOSHGNNStepSparseVsDense(b *testing.B) {
-	room, err := paperRoom()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, dense := range []bool{false, true} {
-		name := "sparse"
-		if dense {
-			name = "dense"
-		}
-		b.Run(name, func(b *testing.B) {
-			model := after.NewPOSHGNN(after.DefaultModelConfig())
-			model.SetDenseAdjacency(dense)
-			dog := after.BuildDOG(0, room.Traj, room.AvatarRadius)
-			sess := model.StartEpisode(room, 0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sess.Step(i, dog.At(i%dog.T()))
-			}
-		})
-	}
-}
-
 // BenchmarkSpMM measures the raw sparse kernel against the equivalent dense
 // product on a 1000-node occlusion-like adjacency with d=8 features — the
 // inner multiply every GraphConv rides.

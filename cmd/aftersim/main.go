@@ -11,7 +11,7 @@
 //	aftersim -exp fig4              # Fig. 4    (user study panels)
 //	aftersim -exp chaos             # chaos sweep (utility retention under faults)
 //	aftersim -exp bench             # performance baseline (writes BENCH_*.json)
-//	aftersim -exp scale             # dense-vs-sparse scaling sweep (BENCH_scale.json)
+//	aftersim -exp scale             # inference scaling sweep (BENCH_scale.json)
 //	aftersim -exp serve             # serving daemon under open-loop load (BENCH_serve.json)
 //	aftersim -exp all               # everything, in order
 //
@@ -548,7 +548,7 @@ func runServe(o exp.Options) (string, error) {
 	return "", fmt.Errorf("%s", msg)
 }
 
-// runScale runs only the dense-vs-sparse message-passing sweep and persists
+// runScale runs only the inference scaling sweep and persists
 // it to BENCH_scale.json (always overwritten: the sweep is a measurement,
 // not a pinned baseline).
 func runScale(o exp.Options) (string, error) {
@@ -559,7 +559,7 @@ func runScale(o exp.Options) (string, error) {
 	if err := r.WriteJSON("BENCH_scale.json"); err != nil {
 		return "", err
 	}
-	return "scale sweep (POSHGNN dense vs sparse message passing):\n" +
+	return "scale sweep (POSHGNN fused inference per step):\n" +
 		exp.FormatScale(r.Scale) + "wrote BENCH_scale.json", nil
 }
 

@@ -21,11 +21,7 @@ import (
 	"time"
 
 	"after/internal/crowd"
-	"after/internal/dataset"
 	"after/internal/geom"
-	"after/internal/obs"
-	"after/internal/obs/prof"
-	"after/internal/occlusion"
 	"after/internal/resilience"
 	"after/internal/sim"
 )
@@ -178,121 +174,36 @@ func SourceFactory(tr *crowd.Trajectories, cfg Config) func(target int) resilien
 	}
 }
 
-// faultyRecommender injects stepper-side faults (panics, latency spikes)
-// into an inner recommender while keeping its name, so result tables line
-// up with the clean run.
-type faultyRecommender struct {
-	inner sim.Recommender
-	cfg   Config
-}
-
-// WrapRecommender wraps inner so each episode's stepper panics with
+// WrapRecommender wraps inner so each of its steppers panics with
 // probability PanicRate and stalls LatencySpike with probability
-// LatencyRate, per Step call, deterministically per (seed, target). A
-// batch-capable inner recommender stays batch-capable: the wrapper then
-// also implements sim.BatchRecommender, injecting the same fault process at
-// fused-pass granularity, so the serving layer's batched path is exercised
-// under chaos rather than silently disabled by the wrapping.
+// LatencyRate, per step, deterministically per (seed, target). The wrapper
+// keeps inner's name, so result tables line up with the clean run, and
+// stays batch-capable when inner is (see sim.WrapSteps): each episode rolls
+// from its target's sub-seeded stream, and a shared batch session rolls from
+// its own stream (sub-seed -1) once per fused StepTargets call — a panic
+// there takes down the whole fused pass, which is exactly the failure the
+// serving layer's solo-fallback logic must absorb.
 func WrapRecommender(inner sim.Recommender, cfg Config) sim.Recommender {
-	f := faultyRecommender{inner: inner, cfg: cfg}
-	if _, ok := inner.(sim.BatchRecommender); ok {
-		return &faultyBatchRecommender{f}
-	}
-	return &f
+	return sim.WrapSteps(inner, func(target int) func() {
+		rng := rand.New(rand.NewSource(cfg.subSeed(target) ^ 0x5ca1ab1e))
+		msg := "chaos: injected stepper panic"
+		if target < 0 {
+			msg = "chaos: injected batch stepper panic"
+		}
+		return func() {
+			if roll(rng, cfg.LatencyRate) {
+				sleep(cfg.latencySpike())
+			}
+			if roll(rng, cfg.PanicRate) {
+				panic(msg)
+			}
+		}
+	})
 }
 
-// Name implements sim.Recommender.
-func (f *faultyRecommender) Name() string { return f.inner.Name() }
-
-// StartEpisode implements sim.Recommender.
-func (f *faultyRecommender) StartEpisode(room *dataset.Room, target int) sim.Stepper {
-	return &faultyStepper{
-		inner: f.inner.StartEpisode(room, target),
-		cfg:   f.cfg,
-		rng:   rand.New(rand.NewSource(f.cfg.subSeed(target) ^ 0x5ca1ab1e)),
-	}
-}
-
-// faultyStepper is the per-episode fault-injecting stepper.
-type faultyStepper struct {
-	inner sim.Stepper
-	cfg   Config
-	rng   *rand.Rand
-}
-
-// Step implements sim.Stepper, possibly stalling or panicking first.
-func (s *faultyStepper) Step(t int, frame *occlusion.StaticGraph) []bool {
-	if roll(s.rng, s.cfg.LatencyRate) {
-		time.Sleep(s.cfg.latencySpike())
-	}
-	if roll(s.rng, s.cfg.PanicRate) {
-		panic("chaos: injected stepper panic")
-	}
-	return s.inner.Step(t, frame)
-}
-
-// SetProfLabels forwards prof.Carrier through the fault wrapper so chaos
-// runs keep their continuous-profiling attribution.
-func (s *faultyStepper) SetProfLabels(l *prof.Labels) {
-	if pc, ok := s.inner.(prof.Carrier); ok {
-		pc.SetProfLabels(l)
-	}
-}
-
-// faultyBatchRecommender is the batch-capable variant of faultyRecommender,
-// returned by WrapRecommender when the inner recommender implements
-// sim.BatchRecommender. Per-episode steppers keep their per-target fault
-// streams; the shared batch session gets its own stream (sub-seed -1) and
-// rolls each fault once per fused StepTargets call — a panic there takes
-// down the whole fused pass, which is exactly the failure the serving
-// layer's solo-fallback logic must absorb.
-type faultyBatchRecommender struct {
-	faultyRecommender
-}
-
-// StartBatch implements sim.BatchRecommender.
-func (f *faultyBatchRecommender) StartBatch(room *dataset.Room) sim.BatchStepper {
-	return &faultyBatchStepper{
-		inner: f.inner.(sim.BatchRecommender).StartBatch(room),
-		cfg:   f.cfg,
-		rng:   rand.New(rand.NewSource(f.cfg.subSeed(-1) ^ 0x5ca1ab1e)),
-	}
-}
-
-// faultyBatchStepper injects one fault roll per fused pass.
-type faultyBatchStepper struct {
-	inner sim.BatchStepper
-	cfg   Config
-	rng   *rand.Rand
-}
-
-// StepTargets implements sim.BatchStepper, possibly stalling or panicking
-// before delegating the whole fused pass.
-func (s *faultyBatchStepper) StepTargets(t int, targets []int, frames []*occlusion.StaticGraph) [][]bool {
-	if roll(s.rng, s.cfg.LatencyRate) {
-		time.Sleep(s.cfg.latencySpike())
-	}
-	if roll(s.rng, s.cfg.PanicRate) {
-		panic("chaos: injected batch stepper panic")
-	}
-	return s.inner.StepTargets(t, targets, frames)
-}
-
-// SetTraceParent forwards sim.TraceCarrier through the fault wrapper so the
-// serving layer's batch span still adopts the real session's forward pass.
-func (s *faultyBatchStepper) SetTraceParent(parent obs.SpanID) {
-	if tc, ok := s.inner.(sim.TraceCarrier); ok {
-		tc.SetTraceParent(parent)
-	}
-}
-
-// SetProfLabels forwards prof.Carrier through the fault wrapper, mirroring
-// SetTraceParent.
-func (s *faultyBatchStepper) SetProfLabels(l *prof.Labels) {
-	if pc, ok := s.inner.(prof.Carrier); ok {
-		pc.SetProfLabels(l)
-	}
-}
+// sleep performs an injected stall; tests swap it to observe stalls without
+// waiting them out.
+var sleep = time.Sleep
 
 func roll(rng *rand.Rand, p float64) bool {
 	return p > 0 && rng.Float64() < p

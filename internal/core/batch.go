@@ -25,17 +25,16 @@ type BatchOptions struct {
 	Float32 bool
 }
 
-// batchState is one target's recurrent state inside a BatchSession — the
-// batched counterpart of Session's prevFrame/prevR/prevH, stored as raw
-// slices (float32 ones when the session runs the fast path) because the
-// batched forward never touches the autodiff tape.
+// batchState is one target's recurrent state inside a BatchSession: the
+// previous frame, r_{t-1} and h_{t-1}, stored as raw slices (float32 ones
+// when the session runs the fast path) because inference never touches the
+// autodiff tape.
 type batchState struct {
 	prevFrame *occlusion.StaticGraph
 	prevR     []float64
 	prevH     []float64
 	prevR32   []float32
 	prevH32   []float32
-	seq       *Session // dense-adjacency compat fallback, lazily created
 
 	// Degree caches for the Δ features: deg/two hold |N(w)| and
 	// Σ_{u∈N(w)}|N(u)| of degFrame, degPrev/twoPrev the same for
@@ -57,20 +56,21 @@ type weights32 struct {
 	lwp3M1, lwp3M2 *tensor.Matrix32
 }
 
-// BatchSession runs POSHGNN inference for many targets of one room in a
-// single fused forward pass per step. The K targets' feature matrices are
-// stacked target-major into one N×(K·d) batch, every graph convolution runs
-// as one multi-column SpMM + blocked projection (tensor.SpMMBatchInto /
+// BatchSession is POSHGNN's one inference path: it runs the forward pass for
+// many targets of one room in a single fused pass per step, and a lone
+// target is a width-1 batch (see Session). The K targets' feature matrices
+// are stacked target-major into one N×(K·d) batch, every graph convolution
+// runs as one multi-column SpMM + blocked projection (tensor.SpMMBatchInto /
 // MatMulBlocksInto), and all intermediate activations live in pooled
-// scratch — no autodiff tape is built, which is where most of the per-step
-// time and allocation of the sequential Session goes at serving time.
+// scratch — no autodiff tape is built.
 //
-// The float64 path is bit-identical to stepping each target through its own
-// Session (per column block every kernel replicates the sequential
-// accumulation order; pinned by TestBatchStepMatchesSequential). Targets may
-// join at any step — state is tracked per target and missing targets simply
-// keep their previous state — so the serving micro-batcher can drive one
-// BatchSession per room with whatever subset of targets each batch holds.
+// The float64 path is bit-identical to the autodiff forward pass training
+// uses (per column block every kernel replicates its accumulation order;
+// pinned against a test-side reference stepper by
+// TestBatchStepMatchesSequential). Targets may join at any step — state is
+// tracked per target and missing targets simply keep their previous state —
+// so the serving micro-batcher can drive one BatchSession per room with
+// whatever subset of targets each batch holds.
 //
 // A BatchSession is safe for concurrent StepTargets calls (an internal
 // mutex serializes them), but per target the usual temporal contract holds:
@@ -194,21 +194,6 @@ func (b *BatchSession) StepTargets(t int, targets []int, frames []*occlusion.Sta
 	lbl := b.profLabels.Load()
 	lbl.Set(prof.PhaseBatch)
 	defer lbl.Set(prof.PhaseNone)
-	if b.model.denseAdj {
-		// Dense-adjacency compat: the bench/test knob has no batched kernel,
-		// so fall back to per-target sequential Sessions. Also serves as the
-		// reference implementation of the batched contract.
-		out := make([][]bool, len(targets))
-		for k, target := range targets {
-			st := b.state(target)
-			if st.seq == nil {
-				st.seq = b.model.StartEpisode(b.room, target)
-				st.seq.SetProfLabels(lbl)
-			}
-			out[k] = st.seq.Step(t, frames[k])
-		}
-		return out
-	}
 	if b.opt.Float32 {
 		return b.step32(t, targets, frames)
 	}
@@ -225,7 +210,7 @@ const (
 // dst = act(in·M1 + (A_k·in)·M2 per column block k). The additive order —
 // the dense term fully materialized first, the aggregated term second, then
 // a single elementwise add — replicates GraphConv.ForwardSparse exactly, so
-// every column stays bit-identical to the sequential path.
+// every column stays bit-identical to the autodiff forward pass.
 //
 // lbl/ret refine the profiling attribution: the sparse gather runs under the
 // spmm phase label and the enclosing phase (ret) is restored afterwards, so
@@ -270,13 +255,14 @@ func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGr
 	mask := ws.Get(n, bk)
 	prevR := ws.Get(n, bk)
 	var delta, prevH *tensor.Matrix
+	var deltaD, prevHD []float64 // nil without LWP
 	if useLWP {
-		delta = ws.Get(n, bk*deltaDim)
-		prevH = ws.Get(n, bk*hid)
+		delta, prevH = ws.Get(n, bk*deltaDim), ws.Get(n, bk*hid)
+		deltaD, prevHD = delta.Data, prevH.Data
 	}
 	for k, target := range targets {
 		st := b.state(target)
-		b.fillColumns(k, bk, frames[k], st, x, mask, prevR, delta, prevH)
+		fillColumns(b, k, bk, frames[k], st, st.prevR, st.prevH, x.Data, mask.Data, prevR.Data, deltaD, prevHD)
 		adjs[k] = frames[k].AdjacencyCSR()
 	}
 	spMIA.End()
@@ -298,32 +284,15 @@ func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGr
 	} else {
 		spLWP := obs.BeginChild("lwp", b.curSpan)
 		lbl.Set(prof.PhaseLWP)
-		lwpWidth := featureDim + deltaDim + hid + 1
-		lwpIn := ws.Get(n, bk*lwpWidth)
-		// Assemble [x̂ ‖ Δ ‖ h_{t-1} ‖ r_{t-1}] per column block — the wide
-		// layout of tensor.Concat's column order.
-		for i := 0; i < n; i++ {
-			row := lwpIn.Data[i*lwpIn.Cols : (i+1)*lwpIn.Cols]
-			for k := 0; k < bk; k++ {
-				o := k * lwpWidth
-				copy(row[o:o+featureDim], x.Data[i*x.Cols+k*featureDim:i*x.Cols+(k+1)*featureDim])
-				copy(row[o+featureDim:o+featureDim+deltaDim], delta.Data[i*delta.Cols+k*deltaDim:i*delta.Cols+(k+1)*deltaDim])
-				copy(row[o+featureDim+deltaDim:o+featureDim+deltaDim+hid], prevH.Data[i*prevH.Cols+k*hid:i*prevH.Cols+(k+1)*hid])
-				row[o+lwpWidth-1] = prevR.Data[i*bk+k]
-			}
-		}
+		lwpIn := ws.Get(n, bk*(featureDim+deltaDim+hid+1))
+		lwpInput(lwpIn.Data, x.Data, delta.Data, prevH.Data, prevR.Data, bk, hid)
 		z1 := ws.Get(n, bk*hid)
 		convWide(z1, lwpIn, adjs, m.lwp1.M1.Value, m.lwp1.M2.Value, actReLU, lbl, prof.PhaseLWP)
 		z2 := ws.Get(n, bk*hid)
 		convWide(z2, z1, adjs, m.lwp2.M1.Value, m.lwp2.M2.Value, actReLU, lbl, prof.PhaseLWP)
 		sigma := ws.Get(n, bk)
 		convWide(sigma, z2, adjs, m.lwp3.M1.Value, m.lwp3.M2.Value, actSigmoid, lbl, prof.PhaseLWP)
-		// Preservation gate, in the sequential scalar order:
-		// r = m ⊗ [(1−σ)⊗r̃ + σ⊗r_{t−1}].
-		for i, mv := range mask.Data {
-			s := sigma.Data[i]
-			r.Data[i] = mv * ((1-s)*rt.Data[i] + s*prevR.Data[i])
-		}
+		gate(r.Data, mask.Data, rt.Data, sigma.Data, prevR.Data)
 		ws.Put(lwpIn)
 		ws.Put(z1)
 		ws.Put(z2)
@@ -339,11 +308,7 @@ func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGr
 	for k, target := range targets {
 		st := b.state(target)
 		st.prevFrame = frames[k]
-		for w := 0; w < n; w++ {
-			st.prevR[w] = r.Data[w*bk+k]
-			col.Data[w] = r.Data[w*bk+k]
-			copy(st.prevH[w*hid:(w+1)*hid], h.Data[w*h.Cols+k*hid:w*h.Cols+(k+1)*hid])
-		}
+		scatterColumn(st.prevR, st.prevH, col.Data, r.Data, h.Data, k, bk, hid)
 		out[k] = b.decode(col, frames[k], target)
 	}
 	ws.Put(col)
@@ -364,11 +329,15 @@ func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGr
 }
 
 // fillColumns writes one target's features into column block k of the wide
-// matrices, replicating MIA.Aggregate (and fillDelta, via fillDeltaColumn)
-// value for value: the target row is all-zero with mask 0, distance is
-// scaled by the room diagonal, the physical mask prunes MR-occluded users
-// for an MR target, and the blocklist zeroes its entries.
-func (b *BatchSession) fillColumns(k, bk int, frame *occlusion.StaticGraph, st *batchState, x, mask, prevR, delta, prevH *tensor.Matrix) {
+// matrices (row-major, bk column blocks per row), replicating MIA.Aggregate
+// (and fillDelta, via fillDeltaColumn) value for value: the target row is
+// all-zero with mask 0, distance is scaled by the room diagonal, the
+// physical mask prunes MR-occluded users for an MR target, and the
+// blocklist zeroes its entries. Features are computed in float64 exactly as
+// MIA does and rounded once on store on the float32 path. stR/stH are the
+// target's recurrent state in the session's precision; delta and prevH are
+// nil when LWP is off.
+func fillColumns[F float32 | float64](b *BatchSession, k, bk int, frame *occlusion.StaticGraph, st *batchState, stR, stH, x, mask, prevR, delta, prevH []F) {
 	room, mia := b.room, &b.model.mia
 	n := room.N
 	target := frame.Target
@@ -376,18 +345,16 @@ func (b *BatchSession) fillColumns(k, bk int, frame *occlusion.StaticGraph, st *
 	targetMR := mia.Enabled && room.Interfaces[target] == occlusion.MR
 	hid := b.model.cfg.Hidden
 	for w := 0; w < n; w++ {
-		xo := w*x.Cols + k*featureDim
+		xo := (w*bk + k) * featureDim
 		if w == target {
-			x.Data[xo], x.Data[xo+1], x.Data[xo+2], x.Data[xo+3] = 0, 0, 0, 0
-			mask.Data[w*bk+k] = 0
+			x[xo], x[xo+1], x[xo+2], x[xo+3] = 0, 0, 0, 0
+			mask[w*bk+k] = 0
 		} else {
-			p := room.Pref(target, w)
-			s := room.Social(target, w)
-			x.Data[xo] = p
-			x.Data[xo+1] = s
-			x.Data[xo+2] = math.Min(1, frame.Dist[w]/roomDiag)
-			x.Data[xo+3] = b.iface[w]
-			mk := 1.0
+			x[xo] = F(room.Pref(target, w))
+			x[xo+1] = F(room.Social(target, w))
+			x[xo+2] = F(math.Min(1, frame.Dist[w]/roomDiag))
+			x[xo+3] = F(b.iface[w])
+			mk := F(1)
 			if targetMR {
 				// Inlined occlusion.PhysicalMask: an MR target loses sight of
 				// any user occluded by another physically present MR user.
@@ -401,30 +368,54 @@ func (b *BatchSession) fillColumns(k, bk int, frame *occlusion.StaticGraph, st *
 			if mia.Blocklist != nil && mia.Blocklist[w] {
 				mk = 0
 			}
-			mask.Data[w*bk+k] = mk
+			mask[w*bk+k] = mk
 		}
-		if prevR != nil {
-			if st.prevR != nil {
-				prevR.Data[w*bk+k] = st.prevR[w]
-			} else {
-				prevR.Data[w*bk+k] = 0
-			}
-		}
+		prevR[w*bk+k] = stR[w]
 	}
 	if delta != nil {
-		b.fillDeltaColumn(delta, k, bk, frame, st)
+		fillDeltaColumn(b, delta, k, bk, frame, st)
 	}
 	if prevH != nil {
 		for w := 0; w < n; w++ {
-			dst := prevH.Data[w*prevH.Cols+k*hid : w*prevH.Cols+(k+1)*hid]
-			if st.prevH != nil {
-				copy(dst, st.prevH[w*hid:(w+1)*hid])
-			} else {
-				for j := range dst {
-					dst[j] = 0
-				}
-			}
+			o := (w*bk + k) * hid
+			copy(prevH[o:o+hid], stH[w*hid:(w+1)*hid])
 		}
+	}
+}
+
+// lwpInput assembles LWP's input [x̂ ‖ Δ ‖ h_{t-1} ‖ r_{t-1}] per column
+// block — the wide layout of tensor.Concat's column order.
+func lwpInput[F float32 | float64](dst, x, delta, prevH, prevR []F, bk, hid int) {
+	width := featureDim + deltaDim + hid + 1
+	for i := 0; i < len(prevR)/bk; i++ {
+		row := dst[i*bk*width : (i+1)*bk*width]
+		for k := 0; k < bk; k++ {
+			o, c := k*width, i*bk+k
+			copy(row[o:o+featureDim], x[c*featureDim:(c+1)*featureDim])
+			copy(row[o+featureDim:o+featureDim+deltaDim], delta[c*deltaDim:(c+1)*deltaDim])
+			copy(row[o+featureDim+deltaDim:o+width-1], prevH[c*hid:(c+1)*hid])
+			row[o+width-1] = prevR[c]
+		}
+	}
+}
+
+// gate applies LWP's preservation gate r = m ⊗ [(1−σ)⊗r̃ + σ⊗r_{t−1}] in
+// the autodiff forward pass's scalar order.
+func gate[F float32 | float64](r, mask, rt, sigma, prevR []F) {
+	for i, mv := range mask {
+		s := sigma[i]
+		r[i] = mv * ((1-s)*rt[i] + s*prevR[i])
+	}
+}
+
+// scatterColumn copies column block k of r and h back into one target's
+// recurrent state and widens its probabilities into col for decoding.
+func scatterColumn[F float32 | float64](stR, stH []F, col []float64, r, h []F, k, bk, hid int) {
+	for w := range stR {
+		c := w*bk + k
+		stR[w] = r[c]
+		col[w] = float64(r[c])
+		copy(stH[w*hid:(w+1)*hid], h[c*hid:(c+1)*hid])
 	}
 }
 
@@ -478,30 +469,30 @@ func (b *BatchSession) deltaDegrees(st *batchState, frame *occlusion.StaticGraph
 }
 
 // fillDeltaColumn is fillDelta scattered into column block k of the wide Δ
-// matrix. When MIA is disabled the block is zeroed, matching the sequential
+// matrix. When MIA is disabled the block is zeroed, matching the autodiff
 // path's untouched zero matrix.
-func (b *BatchSession) fillDeltaColumn(delta *tensor.Matrix, k, bk int, frame *occlusion.StaticGraph, st *batchState) {
+func fillDeltaColumn[F float32 | float64](b *BatchSession, delta []F, k, bk int, frame *occlusion.StaticGraph, st *batchState) {
 	n := frame.N
 	if !b.model.mia.Enabled {
 		for w := 0; w < n; w++ {
-			o := w*delta.Cols + k*deltaDim
-			delta.Data[o], delta.Data[o+1], delta.Data[o+2] = 0, 0, 0
+			o := (w*bk + k) * deltaDim
+			delta[o], delta[o+1], delta[o+2] = 0, 0, 0
 		}
 		return
 	}
 	deg, two, degPrev, twoPrev := b.deltaDegrees(st, frame)
 	scale := 1 / float64(n)
 	for w := 0; w < n; w++ {
-		o := w*delta.Cols + k*deltaDim
-		delta.Data[o] = 1
-		delta.Data[o+1] = (deg[w] - degPrev[w]) * scale
-		delta.Data[o+2] = (two[w] - twoPrev[w]) * scale
+		o := (w*bk + k) * deltaDim
+		delta[o] = 1
+		delta[o+1] = F((deg[w] - degPrev[w]) * scale)
+		delta[o+2] = F((two[w] - twoPrev[w]) * scale)
 	}
 }
 
-// decode turns one target's probability column into the rendered set with
-// the same semantics as Session.Step: greedy de-occlusion by default, plain
-// thresholding under RawDecode, non-positive budget meaning unlimited.
+// decode turns one target's probability column into the rendered set:
+// greedy de-occlusion by default, plain thresholding under RawDecode,
+// non-positive budget meaning unlimited.
 func (b *BatchSession) decode(r *tensor.Matrix, frame *occlusion.StaticGraph, target int) []bool {
 	cfg := &b.model.cfg
 	if cfg.RawDecode {
@@ -546,13 +537,14 @@ func (b *BatchSession) step32(t int, targets []int, frames []*occlusion.StaticGr
 	mask := ws.Get(n, bk)
 	prevR := ws.Get(n, bk)
 	var delta, prevH *tensor.Matrix32
+	var deltaD, prevHD []float32 // nil without LWP
 	if useLWP {
-		delta = ws.Get(n, bk*deltaDim)
-		prevH = ws.Get(n, bk*hid)
+		delta, prevH = ws.Get(n, bk*deltaDim), ws.Get(n, bk*hid)
+		deltaD, prevHD = delta.Data, prevH.Data
 	}
 	for k, target := range targets {
 		st := b.state(target)
-		b.fillColumns32(k, bk, frames[k], st, x, mask, prevR, delta, prevH)
+		fillColumns(b, k, bk, frames[k], st, st.prevR32, st.prevH32, x.Data, mask.Data, prevR.Data, deltaD, prevHD)
 		adjs[k] = frames[k].AdjacencyCSR()
 	}
 	spMIA.End()
@@ -574,28 +566,15 @@ func (b *BatchSession) step32(t int, targets []int, frames []*occlusion.StaticGr
 	} else {
 		spLWP := obs.BeginChild("lwp", b.curSpan)
 		lbl.Set(prof.PhaseLWP)
-		lwpWidth := featureDim + deltaDim + hid + 1
-		lwpIn := ws.Get(n, bk*lwpWidth)
-		for i := 0; i < n; i++ {
-			row := lwpIn.Data[i*lwpIn.Cols : (i+1)*lwpIn.Cols]
-			for k := 0; k < bk; k++ {
-				o := k * lwpWidth
-				copy(row[o:o+featureDim], x.Data[i*x.Cols+k*featureDim:i*x.Cols+(k+1)*featureDim])
-				copy(row[o+featureDim:o+featureDim+deltaDim], delta.Data[i*delta.Cols+k*deltaDim:i*delta.Cols+(k+1)*deltaDim])
-				copy(row[o+featureDim+deltaDim:o+featureDim+deltaDim+hid], prevH.Data[i*prevH.Cols+k*hid:i*prevH.Cols+(k+1)*hid])
-				row[o+lwpWidth-1] = prevR.Data[i*bk+k]
-			}
-		}
+		lwpIn := ws.Get(n, bk*(featureDim+deltaDim+hid+1))
+		lwpInput(lwpIn.Data, x.Data, delta.Data, prevH.Data, prevR.Data, bk, hid)
 		z1 := ws.Get(n, bk*hid)
 		convWide32(z1, lwpIn, adjs, b.w32.lwp1M1, b.w32.lwp1M2, actReLU, lbl, prof.PhaseLWP)
 		z2 := ws.Get(n, bk*hid)
 		convWide32(z2, z1, adjs, b.w32.lwp2M1, b.w32.lwp2M2, actReLU, lbl, prof.PhaseLWP)
 		sigma := ws.Get(n, bk)
 		convWide32(sigma, z2, adjs, b.w32.lwp3M1, b.w32.lwp3M2, actSigmoid, lbl, prof.PhaseLWP)
-		for i, mv := range mask.Data {
-			s := sigma.Data[i]
-			r.Data[i] = mv * ((1-s)*rt.Data[i] + s*prevR.Data[i])
-		}
+		gate(r.Data, mask.Data, rt.Data, sigma.Data, prevR.Data)
 		ws.Put(lwpIn)
 		ws.Put(z1)
 		ws.Put(z2)
@@ -610,11 +589,7 @@ func (b *BatchSession) step32(t int, targets []int, frames []*occlusion.StaticGr
 	for k, target := range targets {
 		st := b.state(target)
 		st.prevFrame = frames[k]
-		for w := 0; w < n; w++ {
-			st.prevR32[w] = r.Data[w*bk+k]
-			col.Data[w] = float64(r.Data[w*bk+k])
-			copy(st.prevH32[w*hid:(w+1)*hid], h.Data[w*h.Cols+k*hid:w*h.Cols+(k+1)*hid])
-		}
+		scatterColumn(st.prevR32, st.prevH32, col.Data, r.Data, h.Data, k, bk, hid)
 		out[k] = b.decode(col, frames[k], target)
 	}
 	tensor.Scratch().Put(col)
@@ -698,104 +673,60 @@ func fastSigmoid32(z float32) float32 {
 	return float32(1 / (1 + e))
 }
 
-// fillColumns32 mirrors fillColumns: features are computed in float64
-// exactly as MIA does and rounded once on store.
-func (b *BatchSession) fillColumns32(k, bk int, frame *occlusion.StaticGraph, st *batchState, x, mask, prevR, delta, prevH *tensor.Matrix32) {
-	room, mia := b.room, &b.model.mia
-	n := room.N
-	target := frame.Target
-	roomDiag := math.Sqrt2 * 10
-	targetMR := mia.Enabled && room.Interfaces[target] == occlusion.MR
-	hid := b.model.cfg.Hidden
-	for w := 0; w < n; w++ {
-		xo := w*x.Cols + k*featureDim
-		if w == target {
-			x.Data[xo], x.Data[xo+1], x.Data[xo+2], x.Data[xo+3] = 0, 0, 0, 0
-			mask.Data[w*bk+k] = 0
-		} else {
-			p := room.Pref(target, w)
-			s := room.Social(target, w)
-			x.Data[xo] = float32(p)
-			x.Data[xo+1] = float32(s)
-			x.Data[xo+2] = float32(math.Min(1, frame.Dist[w]/roomDiag))
-			x.Data[xo+3] = float32(b.iface[w])
-			mk := float32(1)
-			if targetMR {
-				for _, u := range frame.Neighbors(w) {
-					if int(u) != target && room.Interfaces[u] == occlusion.MR {
-						mk = 0
-						break
-					}
-				}
-			}
-			if mia.Blocklist != nil && mia.Blocklist[w] {
-				mk = 0
-			}
-			mask.Data[w*bk+k] = mk
+// Session is POSHGNN's recurrent inference state for one (room, target)
+// episode: a width-1 view of a BatchSession. Every Step is a one-column
+// StepTargets call, so a target stepped alone runs the same fused kernels
+// over the same state layout as one stepped inside a batch. Like any
+// episode, a Session expects its frames in temporal order.
+type Session struct {
+	b       *BatchSession
+	targets [1]int
+	frames  [1]*occlusion.StaticGraph
+}
+
+// StartEpisode begins float64 inference for target in room on a fresh
+// BatchSession of its own.
+func (m *POSHGNN) StartEpisode(room *dataset.Room, target int) *Session {
+	return m.StartBatchSession(room, BatchOptions{}).View(target)
+}
+
+// View returns the width-1 Session of target inside this batch session. It
+// shares the target's recurrent state with StepTargets calls that include
+// the target.
+func (b *BatchSession) View(target int) *Session {
+	if target < 0 || target >= b.room.N {
+		panic(fmt.Sprintf("core: target %d out of range", target))
+	}
+	return &Session{b: b, targets: [1]int{target}}
+}
+
+// Step consumes the occlusion frame for time t and returns the rendered set
+// (rendered[w] = true ⇔ w ∈ F_t(v)).
+func (s *Session) Step(t int, frame *occlusion.StaticGraph) []bool {
+	s.frames[0] = frame
+	return s.b.StepTargets(t, s.targets[:], s.frames[:])[0]
+}
+
+// Probabilities returns a copy of the last step's recommendation vector r_t,
+// useful for diagnostics; nil before the first Step.
+func (s *Session) Probabilities() []float64 {
+	b := s.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	st := b.states[s.targets[0]]
+	if st == nil {
+		return nil
+	}
+	if b.opt.Float32 {
+		out := make([]float64, len(st.prevR32))
+		for w, v := range st.prevR32 {
+			out[w] = float64(v)
 		}
-		if st.prevR32 != nil {
-			prevR.Data[w*bk+k] = st.prevR32[w]
-		} else {
-			prevR.Data[w*bk+k] = 0
-		}
+		return out
 	}
-	if delta != nil {
-		b.fillDeltaColumn32(delta, k, bk, frame, st)
-	}
-	if prevH != nil {
-		for w := 0; w < n; w++ {
-			dst := prevH.Data[w*prevH.Cols+k*hid : w*prevH.Cols+(k+1)*hid]
-			if st.prevH32 != nil {
-				copy(dst, st.prevH32[w*hid:(w+1)*hid])
-			} else {
-				for j := range dst {
-					dst[j] = 0
-				}
-			}
-		}
-	}
+	return append([]float64(nil), st.prevR...)
 }
 
-func (b *BatchSession) fillDeltaColumn32(delta *tensor.Matrix32, k, bk int, frame *occlusion.StaticGraph, st *batchState) {
-	n := frame.N
-	if !b.model.mia.Enabled {
-		for w := 0; w < n; w++ {
-			o := w*delta.Cols + k*deltaDim
-			delta.Data[o], delta.Data[o+1], delta.Data[o+2] = 0, 0, 0
-		}
-		return
-	}
-	deg, two, degPrev, twoPrev := b.deltaDegrees(st, frame)
-	scale := 1 / float64(n)
-	for w := 0; w < n; w++ {
-		o := w*delta.Cols + k*deltaDim
-		delta.Data[o] = 1
-		delta.Data[o+1] = float32((deg[w] - degPrev[w]) * scale)
-		delta.Data[o+2] = float32((two[w] - twoPrev[w]) * scale)
-	}
-}
-
-// targetView is a single-target sim.Stepper view over a BatchSession: every
-// Step is a one-column StepTargets call against the shared per-target state,
-// so fused batches and solo fallback steps see the same recurrent history.
-type targetView struct {
-	b      *BatchSession
-	target int
-}
-
-// TargetStepper returns a single-target stepper view sharing this session's
-// state. It satisfies sim.Stepper structurally (core does not import sim).
-func (b *BatchSession) TargetStepper(target int) interface {
-	Step(t int, frame *occlusion.StaticGraph) []bool
-} {
-	return &targetView{b: b, target: target}
-}
-
-// Step implements the sim.Stepper contract for one target.
-func (v *targetView) Step(t int, frame *occlusion.StaticGraph) []bool {
-	return v.b.StepTargets(t, []int{v.target}, []*occlusion.StaticGraph{frame})[0]
-}
-
-// SetProfLabels forwards the profiling capability to the shared session so a
-// solo episode stepped through the view is attributed like a fused one.
-func (v *targetView) SetProfLabels(l *prof.Labels) { v.b.SetProfLabels(l) }
+// SetProfLabels implements prof.Carrier by forwarding to the underlying
+// BatchSession, so a solo episode is attributed like a fused one.
+func (s *Session) SetProfLabels(l *prof.Labels) { s.b.SetProfLabels(l) }

@@ -19,14 +19,14 @@ func batchDogs(room *dataset.Room, targets []int) []*occlusion.DOG {
 	return dogs
 }
 
-// runSequential steps one plain Session per target over its DOG and returns
-// rendered sets plus final probability vectors.
+// runSequential steps one autodiff reference stepper per target over its DOG
+// and returns rendered sets plus final probability vectors.
 func runSequential(m *POSHGNN, room *dataset.Room, targets []int, dogs []*occlusion.DOG) ([][][]bool, [][]float64) {
 	steps := len(dogs[0].Frames)
 	rendered := make([][][]bool, len(targets)) // [target][t]
 	probs := make([][]float64, len(targets))
 	for i, target := range targets {
-		sess := m.StartEpisode(room, target)
+		sess := startRef(m, room, target)
 		rendered[i] = make([][]bool, steps)
 		for t := 0; t < steps; t++ {
 			rendered[i][t] = sess.Step(t, dogs[i].Frames[t])
@@ -87,11 +87,12 @@ func targetCounts(n int) [][]int {
 }
 
 // TestBatchStepMatchesSequential pins the float64 batched forward pass to
-// the sequential Session bit-identically: rendered sets equal at every step
-// and final probability vectors equal to the last bit, across rooms, model
-// ablations, and batch widths 1 / 2 / 16 / N.
+// the autodiff reference stepper bit-identically: rendered sets equal at
+// every step and final probability vectors equal to the last bit, across
+// rooms (including edgeless and clique scenes), model ablations, and batch
+// widths 1 / 2 / 16 / N.
 func TestBatchStepMatchesSequential(t *testing.T) {
-	rooms := []*dataset.Room{testRoom(4), movingRoom(6, 3), movingRoom(5, 9)}
+	rooms := []*dataset.Room{testRoom(4), movingRoom(6, 3), movingRoom(5, 9), edgelessRoom(), cliqueRoom()}
 	configs := []Config{
 		{UseMIA: true, UseLWP: true, Seed: 1},
 		{UseMIA: true, UseLWP: false, Seed: 2},
@@ -168,15 +169,14 @@ func TestBatchStepWorkerInvariant(t *testing.T) {
 const float32ProbTolerance = 1e-3
 
 // TestBatchFloat32NearOracle: the float32 fast path tracks the float64
-// oracle within float32ProbTolerance on every probability, and the decoded
-// sets may differ only where a probability sits within the tolerance of the
-// decision threshold.
+// oracle — the autodiff reference stepper — within float32ProbTolerance on
+// every probability.
 func TestBatchFloat32NearOracle(t *testing.T) {
 	room := movingRoom(6, 21)
 	m := New(Config{UseMIA: true, UseLWP: true, Seed: 7})
 	targets := []int{0, 4, 8, 12}
 	dogs := batchDogs(room, targets)
-	_, p64 := runBatched(m, room, targets, dogs, BatchOptions{})
+	_, p64 := runSequential(m, room, targets, dogs)
 	_, p32 := runBatched(m, room, targets, dogs, BatchOptions{Float32: true})
 	for i, target := range targets {
 		for w := range p64[i] {
@@ -189,8 +189,8 @@ func TestBatchFloat32NearOracle(t *testing.T) {
 }
 
 // TestBatchMembershipChanges: targets may enter and leave the batch between
-// steps; each target's state must evolve exactly as a solo session fed the
-// same frame subsequence.
+// steps; each target's state must evolve exactly as a reference stepper fed
+// the same frame subsequence.
 func TestBatchMembershipChanges(t *testing.T) {
 	room := movingRoom(6, 33)
 	m := New(Config{UseMIA: true, UseLWP: true, Seed: 8})
@@ -212,10 +212,10 @@ func TestBatchMembershipChanges(t *testing.T) {
 	out = bs.StepTargets(3, []int{2}, []*occlusion.StaticGraph{dogA.Frames[3]})
 	push(2, out[0])
 
-	seqA := m.StartEpisode(room, 2)
+	seqA := startRef(m, room, 2)
 	wantA := [][]bool{seqA.Step(0, dogA.Frames[0]), seqA.Step(1, dogA.Frames[1]),
 		seqA.Step(2, dogA.Frames[2]), seqA.Step(3, dogA.Frames[3])}
-	seqB := m.StartEpisode(room, 9)
+	seqB := startRef(m, room, 9)
 	wantB := [][]bool{seqB.Step(0, dogB.Frames[0]), seqB.Step(2, dogB.Frames[2])}
 
 	for st := range wantA {
@@ -234,43 +234,41 @@ func TestBatchMembershipChanges(t *testing.T) {
 	}
 }
 
-// TestBatchDenseAdjFallback: the dense-adjacency compat toggle routes the
-// batch through per-target sequential sessions and stays output-identical.
-func TestBatchDenseAdjFallback(t *testing.T) {
-	room := testRoom(3)
-	m := New(Config{UseMIA: true, UseLWP: true, Seed: 9})
-	targets := []int{0, 2}
-	dogs := batchDogs(room, targets)
-	wantR, _ := runSequential(m, room, targets, dogs)
-	m.SetDenseAdjacency(true)
-	defer m.SetDenseAdjacency(false)
-	gotR, _ := runBatched(m, room, targets, dogs, BatchOptions{})
-	for i := range targets {
-		for st := range wantR[i] {
-			for w := range wantR[i][st] {
-				if wantR[i][st][w] != gotR[i][st][w] {
-					t.Fatalf("denseAdj batch: target %d step %d user %d differ", targets[i], st, w)
-				}
-			}
-		}
-	}
-}
-
-// TestBatchTargetStepperView: the single-target view stepper drives the
-// shared session state exactly like a direct StepTargets call.
-func TestBatchTargetStepperView(t *testing.T) {
-	room := testRoom(3)
+// TestWidthOneViewMatchesReference: StartEpisode's Session is a width-1
+// view of a fresh BatchSession and steps bit-identically to the autodiff
+// reference, probabilities included; a View shares its target's state with
+// StepTargets calls on the same session.
+func TestWidthOneViewMatchesReference(t *testing.T) {
+	room := movingRoom(6, 27)
 	m := New(Config{UseMIA: true, UseLWP: true, Seed: 10})
 	dog := occlusion.BuildDOG(1, room.Traj, room.AvatarRadius)
-	seq := m.StartEpisode(room, 1)
+	ref := startRef(m, room, 1)
+	sess := m.StartEpisode(room, 1)
+	if sess.Probabilities() != nil {
+		t.Fatal("probabilities before the first step")
+	}
 	bs := m.StartBatchSession(room, BatchOptions{})
-	view := bs.TargetStepper(1)
-	for st := 0; st < len(dog.Frames); st++ {
-		want := seq.Step(st, dog.Frames[st])
-		got := view.Step(st, dog.Frames[st])
+	view := bs.View(1)
+	for st, frame := range dog.Frames {
+		want := ref.Step(st, frame)
+		got := sess.Step(st, frame)
+		// Alternate the shared-state session between the view and a direct
+		// one-column StepTargets call.
+		var shared []bool
+		if st%2 == 0 {
+			shared = view.Step(st, frame)
+		} else {
+			shared = bs.StepTargets(st, []int{1}, []*occlusion.StaticGraph{frame})[0]
+		}
 		for w := range want {
-			if want[w] != got[w] {
-				t.Fatalf("view step %d user %d: %v vs %v", st, w, want[w], got[w])
+			if want[w] != got[w] || want[w] != shared[w] {
+				t.Fatalf("step %d user %d: reference %v, StartEpisode %v, shared view %v", st, w, want[w], got[w], shared[w])
+			}
+		}
+		wantP, gotP, viewP := ref.Probabilities(), sess.Probabilities(), view.Probabilities()
+		for w := range wantP {
+			if wantP[w] != gotP[w] || wantP[w] != viewP[w] {
+				t.Fatalf("step %d prob[%d]: reference %v, StartEpisode %v, shared view %v", st, w, wantP[w], gotP[w], viewP[w])
 			}
 		}
 	}

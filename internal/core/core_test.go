@@ -157,7 +157,7 @@ func TestForwardShapesAndRange(t *testing.T) {
 	room := testRoom(2)
 	dog := occlusion.BuildDOG(0, room.Traj, room.AvatarRadius)
 	m := New(Config{UseMIA: true, UseLWP: true, Seed: 1})
-	out := m.forward(room, dog.At(0), nil, nil, nil, nil)
+	out := m.forward(room, dog.At(0), nil, nil, nil)
 	if out.r.Rows() != 5 || out.r.Cols() != 1 {
 		t.Fatalf("r shape %dx%d", out.r.Rows(), out.r.Cols())
 	}
@@ -182,7 +182,7 @@ func TestForwardWithoutLWP(t *testing.T) {
 	room := testRoom(1)
 	dog := occlusion.BuildDOG(0, room.Traj, room.AvatarRadius)
 	m := New(Config{UseMIA: true, UseLWP: false, Seed: 1})
-	out := m.forward(room, dog.At(0), nil, nil, nil, nil)
+	out := m.forward(room, dog.At(0), nil, nil, nil)
 	if out.sigma != nil {
 		t.Error("LWP disabled but sigma produced")
 	}
@@ -201,7 +201,7 @@ func TestStepLossNonNegative(t *testing.T) {
 		if t2 > 0 {
 			prev = dog.Frames[t2-1]
 		}
-		out := m.forward(room, frame, prev, prevR, nil, nil)
+		out := m.forward(room, frame, prev, prevR, nil)
 		l := m.stepLoss(out, prevR)
 		if l.Value.Data[0] < -1e-9 {
 			t.Fatalf("loss %v negative at step %d", l.Value.Data[0], t2)

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
 	"after/internal/dataset"
 	"after/internal/nn"
 	"after/internal/obs"
-	"after/internal/obs/prof"
 	"after/internal/occlusion"
 	"after/internal/tensor"
 )
@@ -102,10 +100,9 @@ type POSHGNN struct {
 	pdr1, pdr2       *nn.GraphConv
 	lwp1, lwp2, lwp3 *nn.GraphConv
 
-	// denseAdj routes every graph convolution through the dense adjacency
-	// compat path instead of the CSR kernels. Bench/test knob only: the
-	// `-exp scale` harness uses it to time dense vs sparse, and the property
-	// tests pin the two paths to ≤1e-12 agreement.
+	// denseAdj routes forward's graph convolutions through the dense
+	// adjacency instead of the CSR kernels. Only in-package reference tests
+	// set it, to pin the sparse path to ≤1e-12 agreement with the dense one.
 	denseAdj bool
 }
 
@@ -140,13 +137,6 @@ func (m *POSHGNN) Params() *nn.Params { return m.params }
 // (nil clears it). Length must equal the room size used at inference.
 func (m *POSHGNN) SetBlocklist(block []bool) { m.mia.Blocklist = block }
 
-// SetDenseAdjacency toggles the dense-adjacency compat path for every graph
-// convolution (default off: the sparse CSR kernels). The two paths are
-// inference-equivalent (property-tested to ≤1e-12); the dense one exists so
-// the `-exp scale` harness and the regression tests can measure and pin the
-// sparse path against it. Not safe to flip concurrently with Step/Train.
-func (m *POSHGNN) SetDenseAdjacency(on bool) { m.denseAdj = on }
-
 // stepOutput bundles one forward step's differentiable results.
 type stepOutput struct {
 	r     *tensor.Tensor // final recommendation r_t (|V|×1, in [0,1])
@@ -155,26 +145,23 @@ type stepOutput struct {
 	mia   *MIAOutput
 }
 
-// forward runs MIA → PDR → LWP → preservation gate for one step. Each stage
-// is wrapped in an obs span (`mia`, `pdr`, `lwp`) so per-phase latency
-// rollups and -trace timelines cover every POSHGNN step, at a
-// load-and-branch cost when observability is off. lbl, when non-nil, switches
-// the goroutine's pprof labels through the matching phases so continuous
-// profiles attribute to the same names (the caller restores its ambient
-// labels; training passes nil).
+// forward runs MIA → PDR → LWP → preservation gate for one step on the
+// autodiff tape. It serves training only; inference runs the fused
+// BatchSession, which is pinned bit-identical to it. Each stage is wrapped in
+// an obs span (`mia`, `pdr`, `lwp`), at a load-and-branch cost when
+// observability is off.
 // prevR/prevH may be nil at t=0 (they default to zeros: nothing to inherit).
-func (m *POSHGNN) forward(room *dataset.Room, frame, prev *occlusion.StaticGraph, prevR, prevH *tensor.Tensor, lbl *prof.Labels) stepOutput {
+func (m *POSHGNN) forward(room *dataset.Room, frame, prev *occlusion.StaticGraph, prevR, prevH *tensor.Tensor) stepOutput {
 	n := room.N
 	spMIA := obs.Begin("mia")
-	lbl.Set(prof.PhaseMIA)
 	agg := m.mia.Aggregate(room, frame, prev)
 	spMIA.End()
 	x := tensor.Constant(agg.X)
 	maskT := tensor.Constant(agg.Mask)
 
 	// conv dispatches one graph convolution through the sparse CSR kernel
-	// (the production path: O(E·d) message passing, backward reuses the
-	// symmetric CSR) or, under the bench/compat toggle, the dense reference.
+	// (O(E·d) message passing, backward reuses the symmetric CSR) or, for the
+	// in-package reference tests, the dense adjacency.
 	conv := func(gc *nn.GraphConv, in *tensor.Tensor) *tensor.Tensor {
 		if m.denseAdj {
 			return gc.Forward(in, frame.AdjacencyMatrix())
@@ -184,18 +171,15 @@ func (m *POSHGNN) forward(room *dataset.Room, frame, prev *occlusion.StaticGraph
 
 	// PDR (Eq. 1): two graph convolutions; the hidden layer doubles as h_t.
 	spPDR := obs.Begin("pdr")
-	lbl.Set(prof.PhasePDR)
 	h := tensor.ReLU(conv(m.pdr1, x))
 	rTilde := tensor.Sigmoid(conv(m.pdr2, h))
 	spPDR.End()
 
 	if !m.cfg.UseLWP {
-		lbl.Set(prof.PhaseNone)
 		return stepOutput{r: tensor.Mul(maskT, rTilde), h: h, mia: agg}
 	}
 
 	spLWP := obs.Begin("lwp")
-	lbl.Set(prof.PhaseLWP)
 	if prevR == nil {
 		prevR = tensor.Constant(tensor.NewMatrix(n, 1))
 	}
@@ -212,7 +196,6 @@ func (m *POSHGNN) forward(room *dataset.Room, frame, prev *occlusion.StaticGraph
 	blend := tensor.Add(tensor.Mul(tensor.Sub(ones, sigma), rTilde), tensor.Mul(sigma, prevR))
 	out := stepOutput{r: tensor.Mul(maskT, blend), h: h, sigma: sigma, mia: agg}
 	spLWP.End()
-	lbl.Set(prof.PhaseNone)
 	return out
 }
 
@@ -237,74 +220,11 @@ func (m *POSHGNN) stepLoss(out stepOutput, prevR *tensor.Tensor) *tensor.Tensor 
 	return tensor.AddScalar(tensor.Add(tensor.Add(prefGain, socialGain), occPenalty), gamma)
 }
 
-// Session holds the recurrent inference state for one (room, target)
-// episode: previous recommendation, hidden state, and occlusion frame.
-type Session struct {
-	model     *POSHGNN
-	room      *dataset.Room
-	target    int
-	prevFrame *occlusion.StaticGraph
-	prevR     *tensor.Tensor
-	prevH     *tensor.Tensor
-	lbl       *prof.Labels
-}
-
-// SetProfLabels attaches a (room, rec) pprof label set to subsequent Step
-// calls (prof.Carrier): each forward phase switches the goroutine to its
-// phase-refined labels, restoring the ambient set before returning. nil
-// detaches.
-func (s *Session) SetProfLabels(l *prof.Labels) { s.lbl = l }
-
-// StartEpisode begins inference for target in room.
-func (m *POSHGNN) StartEpisode(room *dataset.Room, target int) *Session {
-	if target < 0 || target >= room.N {
-		panic(fmt.Sprintf("core: target %d out of range", target))
-	}
-	return &Session{model: m, room: room, target: target}
-}
-
-// Step consumes the occlusion frame for time t and returns the rendered set
-// (rendered[w] = true ⇔ w ∈ F_t(v)). The session carries state across calls,
-// so callers must feed frames in temporal order.
-func (s *Session) Step(t int, frame *occlusion.StaticGraph) []bool {
-	out := s.model.forward(s.room, frame, s.prevFrame, s.prevR, s.prevH, s.lbl)
-	s.prevFrame = frame
-	s.prevR = tensor.Detach(out.r)
-	s.prevH = tensor.Detach(out.h)
-	spDecode := obs.Begin("decode")
-	s.lbl.Set(prof.PhaseDecode)
-	defer s.lbl.Set(prof.PhaseNone)
-	defer spDecode.End()
-	if s.model.cfg.RawDecode {
-		// Same budget convention as decodeRecommendation: a non-positive
-		// budget means unlimited (the old RawDecode path read budget 0 as
-		// "render nothing", the opposite of the decoder — see the
-		// regression test TestRawDecodeBudgetZeroMeansUnlimited).
-		rendered := make([]bool, s.room.N)
-		budget := s.model.cfg.MaxRender
-		admitted := 0
-		for w := 0; w < s.room.N; w++ {
-			if w == s.target {
-				continue
-			}
-			if budget > 0 && admitted >= budget {
-				break
-			}
-			if out.r.Value.At(w, 0) >= s.model.cfg.Threshold {
-				rendered[w] = true
-				admitted++
-			}
-		}
-		return rendered
-	}
-	return decodeRecommendation(out.r.Value, frame, s.target, s.model.cfg.Threshold, s.model.cfg.MaxRender)
-}
-
 // decodeRecommendation turns the probability vector r_t into a rendered set
 // with a greedy de-occlusion pass: above-threshold users are admitted in
 // decreasing probability order, skipping any candidate that overlaps an
 // already-admitted user. A non-positive budget means unlimited (matching the
-// RawDecode path). The probabilities carry MIA's pruning, PDR's utility
+// RawDecode path in BatchSession.decode). The probabilities carry MIA's pruning, PDR's utility
 // estimates, and LWP's continuity bias, so the decode is a learned weighting
 // of a maximal-independent-set construction.
 //
@@ -409,15 +329,6 @@ func candBefore(a, b decodeCand) bool {
 		return a.key < b.key
 	}
 	return a.w < b.w
-}
-
-// Probabilities returns the last step's recommendation vector r_t, useful
-// for diagnostics; nil before the first Step.
-func (s *Session) Probabilities() []float64 {
-	if s.prevR == nil {
-		return nil
-	}
-	return s.prevR.Value.Col(0)
 }
 
 // DefaultAlpha is the default occlusion-penalty weight. The paper reports

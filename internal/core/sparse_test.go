@@ -47,11 +47,22 @@ func plainRoom(positions []geom.Vec2, steps int) *dataset.Room {
 	}
 }
 
-// runSessionProbs advances a fresh session over every frame of the room's
-// DOG and records the per-step probability vector r_t.
+// edgelessRoom spreads users far apart: every frame of its DOG is edgeless.
+func edgelessRoom() *dataset.Room {
+	return plainRoom([]geom.Vec2{{}, {X: 8}, {Z: 8}, {X: -8}, {Z: -8}, {X: 8, Z: 8}}, 3)
+}
+
+// cliqueRoom stacks everyone inside one avatar radius: every frame is a
+// complete graph over the non-target users.
+func cliqueRoom() *dataset.Room {
+	return plainRoom([]geom.Vec2{{}, {X: 0.04}, {X: -0.04}, {Z: 0.04}, {Z: -0.04}}, 3)
+}
+
+// runSessionProbs advances a fresh autodiff reference stepper over every
+// frame of the room's DOG and records the per-step probability vector r_t.
 func runSessionProbs(m *POSHGNN, room *dataset.Room, target int) [][]float64 {
 	dog := occlusion.BuildDOG(target, room.Traj, room.AvatarRadius)
-	sess := m.StartEpisode(room, target)
+	sess := startRef(m, room, target)
 	out := make([][]float64, 0, len(dog.Frames))
 	for ti, frame := range dog.Frames {
 		sess.Step(ti, frame)
@@ -69,11 +80,8 @@ func TestForwardSparseMatchesDense(t *testing.T) {
 	rooms := map[string]*dataset.Room{
 		"moving-a": movingRoom(6, 31),
 		"moving-b": movingRoom(6, 32),
-		// Users far apart: every frame of the DOG is edgeless.
-		"edgeless": plainRoom([]geom.Vec2{{}, {X: 8}, {Z: 8}, {X: -8}, {Z: -8}, {X: 8, Z: 8}}, 3),
-		// Everyone stacked inside one avatar radius: every frame is a
-		// complete graph over the non-target users.
-		"clique": plainRoom([]geom.Vec2{{}, {X: 0.04}, {X: -0.04}, {Z: 0.04}, {Z: -0.04}}, 3),
+		"edgeless": edgelessRoom(),
+		"clique":   cliqueRoom(),
 	}
 	for name, room := range rooms {
 		for _, cfg := range []Config{
@@ -85,7 +93,7 @@ func TestForwardSparseMatchesDense(t *testing.T) {
 			if err := sparse.Params().CopyTo(dense.Params()); err != nil {
 				t.Fatal(err)
 			}
-			dense.SetDenseAdjacency(true)
+			dense.denseAdj = true
 			sp := runSessionProbs(sparse, room, 0)
 			dp := runSessionProbs(dense, room, 0)
 			for ti := range sp {
@@ -113,7 +121,7 @@ func TestTrainSparseMatchesDense(t *testing.T) {
 	if err := sparse.Params().CopyTo(dense.Params()); err != nil {
 		t.Fatal(err)
 	}
-	dense.SetDenseAdjacency(true)
+	dense.denseAdj = true
 	ss, err := sparse.Train(eps)
 	if err != nil {
 		t.Fatal(err)

@@ -163,7 +163,7 @@ func (m *POSHGNN) trainEpisode(room *dataset.Room, dog *occlusion.DOG, opt *nn.A
 	steps := len(dog.Frames)
 	for t := 0; t < steps; t++ {
 		frame := dog.Frames[t]
-		out := m.forward(room, frame, prevFrame, prevR, prevH, nil)
+		out := m.forward(room, frame, prevFrame, prevR, prevH)
 		l := m.stepLoss(out, prevR)
 		total += l.Value.Data[0]
 		window = append(window, l)
@@ -197,7 +197,7 @@ func (m *POSHGNN) EpisodeLoss(room *dataset.Room, target int) float64 {
 		total     float64
 	)
 	for _, frame := range dog.Frames {
-		out := m.forward(room, frame, prevFrame, prevR, prevH, nil)
+		out := m.forward(room, frame, prevFrame, prevR, prevH)
 		total += m.stepLoss(out, prevR).Value.Data[0]
 		prevFrame = frame
 		prevR = tensor.Detach(out.r)

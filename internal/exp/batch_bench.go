@@ -11,13 +11,16 @@ import (
 
 // BatchBench is one row of the batched-vs-sequential inference sweep: mean
 // per-target step latency on an N-user room serving K targets, through three
-// routes — K independent float64 Sessions (the pre-batching serve path), one
-// fused float64 BatchSession, and the fused float32 fast path. Speedups are
+// routes — K independent width-1 float64 sessions (core.Session, one fused
+// BatchSession each: what a solo serve step costs), one fused float64
+// BatchSession over all K, and the fused float32 fast path. Speedups are
 // sequential ÷ fused, so they read "how much cheaper each target got".
 type BatchBench struct {
-	N                  int     `json:"n"`
-	Targets            int     `json:"targets"`
-	Steps              int     `json:"steps"`
+	N       int `json:"n"`
+	Targets int `json:"targets"`
+	Steps   int `json:"steps"`
+	// SeqStepMicros times the K width-1 sessions. Reports written before
+	// inference ran only through BatchSession timed the autodiff Session here.
 	SeqStepMicros      float64 `json:"seq_step_us"`
 	BatchStepMicros    float64 `json:"batch_step_us"`
 	BatchF32StepMicros float64 `json:"batch_f32_step_us"`

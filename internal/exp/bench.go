@@ -40,8 +40,8 @@ type BenchReport struct {
 	Steppers  []StepperBench `json:"steppers"`
 	Training  TrainingBench  `json:"training"`
 	Table2    TableBench     `json:"table2"`
-	// Scale is the dense-vs-sparse message-passing sweep (see RunScale);
-	// omitted from reports written before the CSR path existed.
+	// Scale is the POSHGNN inference scaling sweep (see RunScale); omitted
+	// from reports written before the CSR path existed.
 	Scale []ScaleBench `json:"scale,omitempty"`
 	// Batched is the batched-vs-sequential multi-target inference sweep (see
 	// RunBatchedBench); omitted from reports written before the batched path
@@ -335,7 +335,7 @@ func (r *BenchReport) Format() string {
 	fmt.Fprintf(&b, "table2: sequential %.0fms vs parallel %.0fms (%.2fx)\n",
 		r.Table2.SequentialMs, r.Table2.ParallelMs, r.Table2.Speedup)
 	if len(r.Scale) > 0 {
-		b.WriteString("scale sweep (POSHGNN dense vs sparse message passing):\n")
+		b.WriteString("scale sweep (POSHGNN fused inference per step):\n")
 		b.WriteString(FormatScale(r.Scale))
 	}
 	if len(r.Batched) > 0 {

@@ -110,8 +110,8 @@ func validationUtility(rec sim.Recommender, room *dataset.Room) (float64, error)
 // POSHGNNRec adapts a trained POSHGNN to the sim harness. The returned
 // recommender is batch-capable: sim.Evaluate and the serve micro-batcher
 // fuse all targets of a room into one shared forward pass per frame through
-// core.BatchSession. The float64 batched pass is bit-identical to the
-// per-target Session, so table artifacts do not depend on the route taken.
+// core.BatchSession, and a per-target episode is a width-1 view of one, so
+// table artifacts do not depend on the route taken.
 func POSHGNNRec(m *core.POSHGNN, name string) sim.Recommender {
 	return poshgnnRec{m: m, name: name}
 }
@@ -133,14 +133,10 @@ type poshgnnRec struct {
 
 func (r poshgnnRec) Name() string { return r.name }
 
-// StartEpisode keeps solo episodes on the same numeric path as batches: the
-// float32 variant steps a width-1 batch session so a request served solo and
-// one served fused read identical weights and state layout.
+// StartEpisode steps a width-1 view of a fresh batch session, so a request
+// served solo and one served fused read identical weights and state layout.
 func (r poshgnnRec) StartEpisode(rm *dataset.Room, target int) sim.Stepper {
-	if r.f32 {
-		return r.m.StartBatchSession(rm, core.BatchOptions{Float32: true}).TargetStepper(target)
-	}
-	return r.m.StartEpisode(rm, target)
+	return r.m.StartBatchSession(rm, core.BatchOptions{Float32: r.f32}).View(target)
 }
 
 // StartBatch implements sim.BatchRecommender.

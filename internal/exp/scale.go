@@ -18,20 +18,16 @@ import (
 	"after/internal/socialgraph"
 )
 
-// ScaleBench is one row of the dense-vs-sparse scaling sweep: mean POSHGNN
-// inference latency and heap allocations per Session.Step on an N-user room,
-// once through the dense-adjacency compat path and once through the CSR
-// message-passing path. Edges is the mean occlusion-edge count per frame, so
-// a reader can see the O(N²·d) vs O(E·d) gap the speedup column reflects.
+// ScaleBench is one row of the scaling sweep: mean POSHGNN inference
+// latency and heap allocations per step of one target's episode (a width-1
+// fused BatchSession) on an N-user room. Edges is the mean occlusion-edge
+// count per frame, the E of the O(E·d) message-passing cost.
 type ScaleBench struct {
-	N                int     `json:"n"`
-	Edges            int     `json:"edges"`
-	Steps            int     `json:"steps"`
-	DenseStepMicros  float64 `json:"dense_step_us"`
-	SparseStepMicros float64 `json:"sparse_step_us"`
-	Speedup          float64 `json:"speedup"`
-	DenseAllocs      float64 `json:"dense_allocs_per_step"`
-	SparseAllocs     float64 `json:"sparse_allocs_per_step"`
+	N          int     `json:"n"`
+	Edges      int     `json:"edges"`
+	Steps      int     `json:"steps"`
+	StepMicros float64 `json:"step_us"`
+	Allocs     float64 `json:"allocs_per_step"`
 }
 
 // scaleSweepSizes returns the room sizes of the scaling sweep. Quick keeps
@@ -44,66 +40,57 @@ func scaleSweepSizes(o Options) []int {
 	return []int{100, 200, 500, 1000, 2000}
 }
 
-// scaleSteps is the episode length of each sweep row: long enough to
-// amortize the first-step autodiff warmup, short enough that the dense
-// N=2000 row stays tractable.
+// scaleSteps is the episode length of each sweep row.
 const scaleSteps = 6
 
-// RunScale measures the dense-vs-sparse scaling sweep. Each room is built
-// synthetically at constant spatial density (side ∝ √N), so edge counts grow
-// roughly linearly with N and the dense path's quadratic term is isolated.
-// Dense and sparse passes run on separate freshly built DOGs: per-frame
-// adjacency materialization is memoized on the frame, and sharing frames
-// would hide the dense path's N² materialization cost.
+// RunScale measures the scaling sweep. Each room is built synthetically at
+// constant spatial density (side ∝ √N), so edge counts grow roughly linearly
+// with N.
 func RunScale(o Options) ([]ScaleBench, error) {
 	o = o.withDefaults()
 	out := make([]ScaleBench, 0, 5)
 	for _, n := range scaleSweepSizes(o) {
 		room := scaleRoom(n, scaleSteps, o.Seed+int64(n))
 		row := ScaleBench{N: n, Steps: scaleSteps}
-
-		denseUs, denseAllocs, edges := scaleEpisode(room, true)
-		sparseUs, sparseAllocs, _ := scaleEpisode(room, false)
-		row.Edges = edges
-		row.DenseStepMicros = denseUs
-		row.SparseStepMicros = sparseUs
-		row.DenseAllocs = denseAllocs
-		row.SparseAllocs = sparseAllocs
-		if sparseUs > 0 {
-			row.Speedup = denseUs / sparseUs
-		}
+		row.StepMicros, row.Allocs, row.Edges = scaleEpisode(room)
 		out = append(out, row)
 	}
 	return out, nil
 }
 
-// scaleEpisode runs one untrained POSHGNN episode over a fresh DOG of the
-// room (inference cost does not depend on weight values) and returns the
-// mean per-step latency in microseconds, the mean heap allocations per step,
-// and the mean edge count per frame.
-func scaleEpisode(room *dataset.Room, dense bool) (stepUs, allocsPerStep float64, meanEdges int) {
+// scaleEpisode times one untrained POSHGNN episode (inference cost does not
+// depend on weight values) over a DOG of the room whose frame CSRs are
+// prebuilt, so the row isolates the fused forward pass. It returns the best
+// of batchBenchReps mean per-step latencies in microseconds, the mean heap
+// allocations per step, and the mean edge count per frame.
+func scaleEpisode(room *dataset.Room) (stepUs, allocsPerStep float64, meanEdges int) {
 	dog := occlusion.BuildDOG(0, room.Traj, room.AvatarRadius)
-	m := core.New(core.Config{UseMIA: true, UseLWP: true, Seed: 1})
-	m.SetDenseAdjacency(dense)
-	sess := m.StartEpisode(room, 0)
-
 	edges := 0
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for ti, frame := range dog.Frames {
-		sess.Step(ti, frame)
+	for _, frame := range dog.Frames {
+		frame.AdjacencyCSR()
 		edges += frame.EdgeCount()
 	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-
+	m := core.New(core.Config{UseMIA: true, UseLWP: true, Seed: 1})
 	steps := len(dog.Frames)
-	stepUs = float64(wall.Nanoseconds()) / 1e3 / float64(steps)
+	var best time.Duration
+	var before, after runtime.MemStats
+	for rep := 0; rep < batchBenchReps; rep++ {
+		sess := m.StartEpisode(room, 0)
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		for ti, frame := range dog.Frames {
+			sess.Step(ti, frame)
+		}
+		wall := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if rep == 0 || wall < best {
+			best = wall
+		}
+	}
+	stepUs = float64(best.Nanoseconds()) / 1e3 / float64(steps)
 	allocsPerStep = float64(after.Mallocs-before.Mallocs) / float64(steps)
-	meanEdges = edges / steps
-	return stepUs, allocsPerStep, meanEdges
+	return stepUs, allocsPerStep, edges / steps
 }
 
 // scaleRoom builds a synthetic N-user room at constant spatial density
@@ -164,12 +151,9 @@ func scaleRoom(n, steps int, seed int64) *dataset.Room {
 // FormatScale renders the sweep as a table.
 func FormatScale(rows []ScaleBench) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%6s %8s %14s %14s %8s %14s %14s\n",
-		"N", "edges", "dense us/step", "sparse us/step", "speedup", "dense allocs", "sparse allocs")
+	fmt.Fprintf(&b, "%6s %8s %10s %12s\n", "N", "edges", "us/step", "allocs/step")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %8d %14.1f %14.1f %7.1fx %14.0f %14.0f\n",
-			r.N, r.Edges, r.DenseStepMicros, r.SparseStepMicros, r.Speedup,
-			r.DenseAllocs, r.SparseAllocs)
+		fmt.Fprintf(&b, "%6d %8d %10.1f %12.0f\n", r.N, r.Edges, r.StepMicros, r.Allocs)
 	}
 	return b.String()
 }

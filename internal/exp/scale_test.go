@@ -7,7 +7,7 @@ import (
 
 // TestRunScaleQuick smoke-runs the quick sweep (N ∈ {100, 200}) and checks
 // the rows are structurally sane: sizes as requested, edges present, and
-// both paths measured.
+// the fused step measured.
 func TestRunScaleQuick(t *testing.T) {
 	rows, err := RunScale(Options{Quick: true, Seed: 1})
 	if err != nil {
@@ -20,7 +20,7 @@ func TestRunScaleQuick(t *testing.T) {
 		if r.Edges <= 0 {
 			t.Errorf("N=%d: no occlusion edges in sweep room", r.N)
 		}
-		if r.DenseStepMicros <= 0 || r.SparseStepMicros <= 0 {
+		if r.StepMicros <= 0 || r.Allocs <= 0 {
 			t.Errorf("N=%d: unmeasured step latency: %+v", r.N, r)
 		}
 		if r.Steps <= 0 {
@@ -62,7 +62,7 @@ func TestBenchReportRoundTrip(t *testing.T) {
 		GoVersion: "go1.22",
 		NumCPU:    4,
 		Steppers:  []StepperBench{{Name: "POSHGNN", StepMicros: 123.4}},
-		Scale:     []ScaleBench{{N: 100, Edges: 7, Steps: 6, DenseStepMicros: 9, SparseStepMicros: 3, Speedup: 3}},
+		Scale:     []ScaleBench{{N: 100, Edges: 7, Steps: 6, StepMicros: 3, Allocs: 40}},
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
 	if err := r.WriteJSON(path); err != nil {
@@ -75,7 +75,7 @@ func TestBenchReportRoundTrip(t *testing.T) {
 	if got.NumCPU != 4 || len(got.Steppers) != 1 || got.Steppers[0].StepMicros != 123.4 {
 		t.Fatalf("round trip mangled steppers: %+v", got)
 	}
-	if len(got.Scale) != 1 || got.Scale[0].Speedup != 3 {
+	if len(got.Scale) != 1 || got.Scale[0] != r.Scale[0] {
 		t.Fatalf("round trip mangled scale rows: %+v", got.Scale)
 	}
 }

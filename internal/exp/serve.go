@@ -16,7 +16,6 @@ import (
 	"after/internal/geom"
 	"after/internal/obs"
 	"after/internal/obs/prof"
-	"after/internal/occlusion"
 	"after/internal/serve"
 	"after/internal/serve/load"
 	"after/internal/sim"
@@ -311,87 +310,20 @@ func RunServe(o Options) (*ServeReport, error) {
 	return report, nil
 }
 
-// pacedRec adds a fixed floor latency to every Step of the wrapped
+// paced adds a fixed floor latency to every step of the wrapped
 // recommender. Used by the serve sweep to emulate the per-step serving cost
 // (feature fetch, accelerator round trip) that a CPU-only reproduction
 // otherwise lacks, making capacity — and therefore the overload rows —
-// machine-independent.
-type pacedRec struct {
-	inner sim.Recommender
-	floor time.Duration
-}
-
-// paced wraps inner with the floor, preserving batch capability: a
-// BatchRecommender inner yields a paced wrapper whose fused StepTargets pays
-// the floor ONCE per pass rather than once per target. That asymmetry is the
-// point — coalescing K requests into one fused pass amortizes the emulated
-// serving round trip exactly the way a real accelerator batch would, which
-// is where the serve sweep's accepted-p99 drop comes from.
+// machine-independent. A batch-capable inner recommender stays batch-capable
+// and its fused StepTargets pays the floor ONCE per pass rather than once per
+// target. That asymmetry is the point — coalescing K requests into one fused
+// pass amortizes the emulated serving round trip exactly the way a real
+// accelerator batch would, which is where the serve sweep's accepted-p99 drop
+// comes from.
 func paced(inner sim.Recommender, floor time.Duration) sim.Recommender {
-	p := pacedRec{inner: inner, floor: floor}
-	if _, ok := inner.(sim.BatchRecommender); ok {
-		return pacedBatchRec{p}
-	}
-	return p
-}
-
-func (p pacedRec) Name() string { return p.inner.Name() }
-
-func (p pacedRec) StartEpisode(room *dataset.Room, target int) sim.Stepper {
-	return pacedStepper{inner: p.inner.StartEpisode(room, target), floor: p.floor}
-}
-
-type pacedStepper struct {
-	inner sim.Stepper
-	floor time.Duration
-}
-
-func (p pacedStepper) Step(t int, frame *occlusion.StaticGraph) []bool {
-	time.Sleep(p.floor)
-	return p.inner.Step(t, frame)
-}
-
-// SetProfLabels forwards prof.Carrier through the pacing wrapper.
-func (p pacedStepper) SetProfLabels(l *prof.Labels) {
-	if pc, ok := p.inner.(prof.Carrier); ok {
-		pc.SetProfLabels(l)
-	}
-}
-
-// pacedBatchRec is the batch-capable pacedRec variant built by paced.
-type pacedBatchRec struct {
-	pacedRec
-}
-
-func (p pacedBatchRec) StartBatch(room *dataset.Room) sim.BatchStepper {
-	return pacedBatchStepper{
-		inner: p.inner.(sim.BatchRecommender).StartBatch(room),
-		floor: p.floor,
-	}
-}
-
-type pacedBatchStepper struct {
-	inner sim.BatchStepper
-	floor time.Duration
-}
-
-func (p pacedBatchStepper) StepTargets(t int, targets []int, frames []*occlusion.StaticGraph) [][]bool {
-	time.Sleep(p.floor)
-	return p.inner.StepTargets(t, targets, frames)
-}
-
-// SetTraceParent forwards sim.TraceCarrier through the pacing wrapper.
-func (p pacedBatchStepper) SetTraceParent(parent obs.SpanID) {
-	if tc, ok := p.inner.(sim.TraceCarrier); ok {
-		tc.SetTraceParent(parent)
-	}
-}
-
-// SetProfLabels forwards prof.Carrier through the pacing wrapper.
-func (p pacedBatchStepper) SetProfLabels(l *prof.Labels) {
-	if pc, ok := p.inner.(prof.Carrier); ok {
-		pc.SetProfLabels(l)
-	}
+	return sim.WrapSteps(inner, func(int) func() {
+		return func() { time.Sleep(floor) }
+	})
 }
 
 // calibrate measures the server's end-to-end throughput with a short

@@ -128,12 +128,13 @@ func detectorKey(series string, target int) string {
 // first episode (a couple of steps) cannot freeze a baseline off two samples.
 const minEpisodeWarmup = 4
 
-// recState accumulates one recommender's quality telemetry.
-type recState struct {
-	episodes int
-	steps    int
+// episodeSums is one recorded episode's contribution to its recommender's
+// telemetry.
+type episodeSums struct {
+	target int
+	steps  int
 
-	// Attribution totals (weighted components, summed over episodes).
+	// Attribution components (weighted, summed over the episode).
 	pref, social, gate, total float64
 	gatedUsers                int
 
@@ -150,8 +151,56 @@ type recState struct {
 	churnSum   float64
 	churnMax   float64
 
+	alerts []Alert
+}
+
+// recState accumulates one recommender's quality telemetry.
+type recState struct {
+	// episodes holds every recorded episode in canonical order — by target,
+	// then by arrival within a target — and totals folds them in that order,
+	// so floating-point sums and the retained alert list do not depend on
+	// the order in which parallel workers finished their episodes.
+	episodes  []episodeSums
 	detectors map[string]*Detector
-	alerts    []Alert
+}
+
+// record inserts ep at its canonical position.
+func (st *recState) record(ep episodeSums) {
+	i := sort.Search(len(st.episodes), func(i int) bool { return st.episodes[i].target > ep.target })
+	st.episodes = append(st.episodes, episodeSums{})
+	copy(st.episodes[i+1:], st.episodes[i:])
+	st.episodes[i] = ep
+}
+
+// totals folds the recorded episodes in canonical order, retaining at most
+// maxAlerts alerts (the first ones in that order).
+func (st *recState) totals(maxAlerts int) episodeSums {
+	var sum episodeSums
+	for _, ep := range st.episodes {
+		sum.steps += ep.steps
+		sum.pref += ep.pref
+		sum.social += ep.social
+		sum.gate += ep.gate
+		sum.total += ep.total
+		sum.gatedUsers += ep.gatedUsers
+		sum.regretSteps += ep.regretSteps
+		sum.exactSteps += ep.exactSteps
+		sum.regretTotal += ep.regretTotal
+		if ep.regretMax > sum.regretMax {
+			sum.regretMax = ep.regretMax
+		}
+		sum.oracleTotal += ep.oracleTotal
+		sum.actualOnOrcl += ep.actualOnOrcl
+		sum.churnSteps += ep.churnSteps
+		sum.churnSum += ep.churnSum
+		if ep.churnMax > sum.churnMax {
+			sum.churnMax = ep.churnMax
+		}
+		if room := maxAlerts - len(sum.alerts); room > 0 {
+			sum.alerts = append(sum.alerts, ep.alerts[:min(room, len(ep.alerts))]...)
+		}
+	}
+	return sum
 }
 
 // Collector aggregates quality telemetry across episodes and recommenders.
@@ -226,10 +275,39 @@ func (c *Collector) RecordEpisode(rec string, room *dataset.Room, dog *occlusion
 	regret, oracle, kinds := regretSeries(room, dog, rendered, actual, beta, cfg)
 	churn := metrics.ChurnSeries(rendered)
 
+	ep := episodeSums{
+		target: dog.Target, steps: len(att.Steps),
+		pref: att.Pref, social: att.Social, gate: att.Gate, total: att.Total,
+		gatedUsers: att.GatedUsers,
+	}
 	reg := obs.Default()
 	utilHist := reg.Histogram(obs.Label("quality.step_utility", "rec", rec))
 	regretHist := reg.Histogram(obs.Label("quality.regret", "rec", rec))
 	churnHist := reg.Histogram(obs.Label("quality.churn", "rec", rec))
+	for t := range att.Steps {
+		utilHist.ObserveNs(microUnits(actual[t]))
+		if kinds[t] != OracleNone {
+			ep.regretSteps++
+			if kinds[t] == OracleExact {
+				ep.exactSteps++
+			}
+			ep.regretTotal += regret[t]
+			if regret[t] > ep.regretMax {
+				ep.regretMax = regret[t]
+			}
+			ep.oracleTotal += oracle[t]
+			ep.actualOnOrcl += actual[t]
+			regretHist.ObserveNs(microUnits(regret[t]))
+		}
+		if t >= 1 {
+			ep.churnSteps++
+			ep.churnSum += churn[t]
+			if churn[t] > ep.churnMax {
+				ep.churnMax = churn[t]
+			}
+			churnHist.ObserveNs(microUnits(churn[t]))
+		}
+	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -238,61 +316,31 @@ func (c *Collector) RecordEpisode(rec string, room *dataset.Room, dog *occlusion
 		st = &recState{detectors: map[string]*Detector{}}
 		c.recs[rec] = st
 	}
-	st.episodes++
-	st.steps += len(att.Steps)
-	st.pref += att.Pref
-	st.social += att.Social
-	st.gate += att.Gate
-	st.total += att.Total
-	st.gatedUsers += att.GatedUsers
-
-	for t := range att.Steps {
-		utilHist.ObserveNs(microUnits(actual[t]))
-		if kinds[t] != OracleNone {
-			st.regretSteps++
-			if kinds[t] == OracleExact {
-				st.exactSteps++
-			}
-			st.regretTotal += regret[t]
-			if regret[t] > st.regretMax {
-				st.regretMax = regret[t]
-			}
-			st.oracleTotal += oracle[t]
-			st.actualOnOrcl += actual[t]
-			regretHist.ObserveNs(microUnits(regret[t]))
-		}
-		if t >= 1 {
-			st.churnSteps++
-			st.churnSum += churn[t]
-			if churn[t] > st.churnMax {
-				st.churnMax = churn[t]
-			}
-			churnHist.ObserveNs(microUnits(churn[t]))
-		}
-	}
 	obsEpisodes.Inc()
 
 	// Detector feeds: utility and regret over every step, churn over t ≥ 1.
 	target := dog.Target
-	c.feedLocked(st, rec, seriesUtility, target, actual, nil)
-	c.feedLocked(st, rec, seriesRegret, target, regret, kinds)
+	c.feedLocked(st, &ep, rec, seriesUtility, target, actual, nil)
+	c.feedLocked(st, &ep, rec, seriesRegret, target, regret, kinds)
 	if len(churn) > 1 {
-		c.feedLocked(st, rec, seriesChurn, target, churn[1:], nil)
+		c.feedLocked(st, &ep, rec, seriesChurn, target, churn[1:], nil)
 	}
+	st.record(ep)
 
 	// Attribution gauges expose the running totals live (/metrics scrapes
 	// mid-run see the decomposition converge).
-	reg.Gauge(obs.Label("quality.attr_pref", "rec", rec)).Set(st.pref)
-	reg.Gauge(obs.Label("quality.attr_social", "rec", rec)).Set(st.social)
-	reg.Gauge(obs.Label("quality.attr_gate", "rec", rec)).Set(st.gate)
-	if st.oracleTotal > 0 {
-		reg.Gauge(obs.Label("quality.regret_rate", "rec", rec)).Set(st.regretTotal / st.oracleTotal)
+	sum := st.totals(0)
+	reg.Gauge(obs.Label("quality.attr_pref", "rec", rec)).Set(sum.pref)
+	reg.Gauge(obs.Label("quality.attr_social", "rec", rec)).Set(sum.social)
+	reg.Gauge(obs.Label("quality.attr_gate", "rec", rec)).Set(sum.gate)
+	if sum.oracleTotal > 0 {
+		reg.Gauge(obs.Label("quality.regret_rate", "rec", rec)).Set(sum.regretTotal / sum.oracleTotal)
 	}
 }
 
 // feedLocked streams one series into its per-(series, target) detector,
-// creating it on first sight and booking any alerts. kinds, when non-nil,
-// masks the samples to oracle-covered steps.
+// creating it on first sight and booking any alerts into ep. kinds, when
+// non-nil, masks the samples to oracle-covered steps.
 //
 // The detector's warmup is sized to the first episode fed, not the static
 // default: per-step utility is nonstationary WITHIN an episode (social
@@ -303,7 +351,7 @@ func (c *Collector) RecordEpisode(rec string, room *dataset.Room, dog *occlusion
 // baseline, so a single-episode evaluation can never alarm and drift is only
 // ever declared episode-over-episode, which is the comparison the chaos
 // sweep's clean-reference-then-faulty structure is built for.
-func (c *Collector) feedLocked(st *recState, rec, series string, target int, xs []float64, kinds []OracleKind) {
+func (c *Collector) feedLocked(st *recState, ep *episodeSums, rec, series string, target int, xs []float64, kinds []OracleKind) {
 	n := len(xs)
 	if kinds != nil {
 		n = 0
@@ -338,8 +386,8 @@ func (c *Collector) feedLocked(st *recState, rec, series string, target int, xs 
 			// An instant span drops the alert into the trace timeline: the
 			// crossing shows up between the step spans that caused it.
 			obs.Begin("alert." + a.Series).End()
-			if len(st.alerts) < c.cfg.MaxAlerts {
-				st.alerts = append(st.alerts, a)
+			if len(ep.alerts) < c.cfg.MaxAlerts {
+				ep.alerts = append(ep.alerts, a)
 			}
 		}
 	}
@@ -426,16 +474,17 @@ func (c *Collector) Snapshot() Snapshot {
 		Recommenders: make(map[string]RecReport, len(c.recs)),
 		AlertsTotal:  c.alertsTotal,
 	}
-	for name, st := range c.recs {
+	for name, rs := range c.recs {
+		st := rs.totals(c.cfg.MaxAlerts)
 		rr := RecReport{
-			Episodes: st.episodes,
+			Episodes: len(rs.episodes),
 			Steps:    st.steps,
 			Attribution: AttributionReport{
 				Pref: st.pref, Social: st.social, Gate: st.gate,
 				Total: st.total, GatedUsers: st.gatedUsers,
 			},
 			Churn:  ChurnReport{Steps: st.churnSteps, Max: st.churnMax},
-			Alerts: append([]Alert(nil), st.alerts...),
+			Alerts: st.alerts,
 		}
 		if st.churnSteps > 0 {
 			rr.Churn.Mean = st.churnSum / float64(st.churnSteps)
@@ -462,13 +511,13 @@ func (c *Collector) Snapshot() Snapshot {
 			rr.Regret.Rate = st.regretTotal / st.oracleTotal
 		}
 		// Deterministic detector order for diffable snapshots.
-		keys := make([]string, 0, len(st.detectors))
-		for k := range st.detectors {
+		keys := make([]string, 0, len(rs.detectors))
+		for k := range rs.detectors {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			rr.Detectors = append(rr.Detectors, st.detectors[k].State())
+			rr.Detectors = append(rr.Detectors, rs.detectors[k].State())
 		}
 		s.Recommenders[name] = rr
 	}

@@ -382,3 +382,58 @@ func TestCollectorAlertsOnInjectedDrift(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotIndependentOfArrivalOrder: parallel evaluation records
+// episodes in whatever order its workers finish, so the same episodes
+// recorded in two different orders — each target's own episodes still in
+// sequence — must produce identical snapshots: the same totals to the last
+// bit and the same retained alert list.
+func TestSnapshotIndependentOfArrivalOrder(t *testing.T) {
+	qualityOn(t)
+	cfg := Config{}
+	cfg.Detector.Warmup = 8
+	room := testRoom(t, 13, 12, 20)
+	rng := rand.New(rand.NewSource(21))
+	type episode struct {
+		dog      *occlusion.DOG
+		rendered [][]bool
+	}
+	// Per target: a good episode, then a collapsed one that trips alerts.
+	byTarget := make([][]episode, 6)
+	for target := range byTarget {
+		dog := occlusion.BuildDOG(target, room.Traj, room.AvatarRadius)
+		empty := make([][]bool, len(dog.Frames))
+		for i := range empty {
+			empty[i] = make([]bool, room.N)
+		}
+		byTarget[target] = []episode{
+			{dog, randomTrace(rng, room.N, len(dog.Frames), target, 0.6)},
+			{dog, empty},
+		}
+	}
+	snapshot := func(order []int) []byte {
+		c := NewCollector(cfg)
+		next := make([]int, len(byTarget))
+		for _, target := range order {
+			ep := byTarget[target][next[target]]
+			next[target]++
+			c.RecordEpisode("ORDER", room, ep.dog, ep.rendered, 0.5)
+		}
+		snap := c.Snapshot()
+		snap.Timestamp = ""
+		data, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	ascending := []int{0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5}
+	interleaved := []int{5, 3, 1, 4, 5, 0, 2, 3, 1, 0, 4, 2}
+	a, b := snapshot(ascending), snapshot(interleaved)
+	if !strings.Contains(string(a), `"alerts":[`) {
+		t.Fatal("no alerts retained; the test needs alerts from several targets")
+	}
+	if string(a) != string(b) {
+		t.Fatalf("snapshots depend on arrival order:\n  target-major: %s\n  interleaved:  %s", a, b)
+	}
+}

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"fmt"
 	"time"
 
 	"after/internal/dataset"
@@ -14,9 +13,9 @@ import (
 
 // Clock abstracts wall time for the retry/backoff path so the deadline-aware
 // retry budget is unit-testable with a fake clock. The zero Config uses the
-// real clock. The frame-deadline race inside issueStep intentionally stays on
-// real timers — it bounds a live goroutine, not simulated time — so a fake
-// clock only governs when retries are attempted and how long backoff sleeps.
+// real clock. The frame-deadline race (Race) intentionally stays on real
+// timers — it bounds a live goroutine, not simulated time — so a fake clock
+// only governs when retries are attempted and how long backoff sleeps.
 type Clock interface {
 	Now() time.Time
 	Sleep(d time.Duration)
@@ -226,12 +225,13 @@ func (g *Guard) protectedStep(t int, frame *occlusion.StaticGraph, dl time.Durat
 					return nil, false
 				}
 			}
-			out, verdict := g.issueStep(t, frame, adl)
-			switch verdict {
-			case stepOK:
+			st := g.stepper
+			out, outcome := Race(g.cfg, adl, func() []bool { return st.Step(t, frame) })
+			switch outcome {
+			case RaceOK:
 				g.latePanics = 0
 				return out, true
-			case stepPanicked:
+			case RacePanicked:
 				g.tly.bump(kindRecoveredPanic)
 				if retriesLeft > 0 {
 					if !g.backoff(attempt, deadlineAt) {
@@ -247,13 +247,13 @@ func (g *Guard) protectedStep(t int, frame *occlusion.StaticGraph, dl time.Durat
 				}
 				g.demote()
 				// The fresh fallback (if any) gets a shot at this frame.
-			case stepDeadlineKept:
+			case RaceLateOK:
 				// Missed the deadline but the straggler finished within
 				// the grace period: serve stale now, keep the stepper.
 				g.tly.bump(kindDeadlineMiss)
 				g.latePanics = 0
 				return nil, false
-			case stepDeadlineLatePanic:
+			case RaceLatePanic:
 				// The straggler both missed the deadline and panicked. A
 				// transient panic on an already-missed frame doesn't merit
 				// instant demotion — the frame is served stale either way —
@@ -266,7 +266,7 @@ func (g *Guard) protectedStep(t int, frame *occlusion.StaticGraph, dl time.Durat
 					g.demote()
 				}
 				return nil, false
-			case stepDeadlineAbandoned:
+			case RaceAbandoned:
 				// Straggler still running after the grace period: it is
 				// written off (the goroutine drains harmlessly) and the
 				// chain demotes for future steps.
@@ -316,76 +316,80 @@ func (g *Guard) backoff(attempt int, deadlineAt time.Time) bool {
 	return true
 }
 
-// stepVerdict classifies one issued Step call.
-type stepVerdict int
+// Outcome classifies one deadline-raced call (see Race).
+type Outcome int
 
 const (
-	stepOK stepVerdict = iota
-	stepPanicked
-	stepDeadlineKept
-	stepDeadlineLatePanic
-	stepDeadlineAbandoned
+	// RaceOK: the call returned within its deadline.
+	RaceOK Outcome = iota
+	// RacePanicked: the call panicked within its deadline.
+	RacePanicked
+	// RaceLateOK: the call missed its deadline but returned within the
+	// straggler grace; its result is stale and discarded.
+	RaceLateOK
+	// RaceLatePanic: the call missed its deadline, then panicked within the
+	// grace.
+	RaceLatePanic
+	// RaceAbandoned: the call was still running when the grace ran out. It is
+	// written off and finishes harmlessly on its own goroutine.
+	RaceAbandoned
 )
 
-// issueStep performs one Step call on the active stepper, inline when no
-// deadline applies, otherwise in a goroutine raced against the deadline
-// timer. The result channel is buffered so an abandoned straggler can always
-// complete its send and be collected.
-func (g *Guard) issueStep(t int, frame *occlusion.StaticGraph, dl time.Duration) ([]bool, stepVerdict) {
+// Race runs call under panic recovery — inline when dl <= 0, otherwise on its
+// own goroutine raced against the dl timer — and classifies the outcome.
+// After a missed deadline it waits cfg's straggler grace for the call to
+// finish. The result is meaningful only with RaceOK. It is the one deadline
+// race behind Guard's protected steps and the serving layer's fused passes;
+// each caller books the outcomes its own way.
+func Race[T any](cfg Config, dl time.Duration, call func() T) (T, Outcome) {
+	var zero T
 	if dl <= 0 {
-		out, panicErr := safeStep(g.stepper, t, frame)
-		if panicErr != nil {
-			return nil, stepPanicked
+		if v, panicked := recovered(call); !panicked {
+			return v, RaceOK
 		}
-		return out, stepOK
+		return zero, RacePanicked
 	}
-	ch := make(chan stepResult, 1)
-	st := g.stepper
+	type result struct {
+		v        T
+		panicked bool
+	}
+	// Buffered so an abandoned straggler can always complete its send and be
+	// collected.
+	ch := make(chan result, 1)
 	go func() {
-		var res stepResult
-		defer func() {
-			if p := recover(); p != nil {
-				res = stepResult{panicErr: fmt.Errorf("resilience: step %d panicked: %v", t, p)}
-			}
-			ch <- res
-		}()
-		res.rendered = st.Step(t, frame)
+		v, panicked := recovered(call)
+		ch <- result{v, panicked}
 	}()
 	deadline := time.NewTimer(dl)
 	defer deadline.Stop()
 	select {
-	case res := <-ch:
-		if res.panicErr != nil {
-			return nil, stepPanicked
+	case r := <-ch:
+		if r.panicked {
+			return zero, RacePanicked
 		}
-		return res.rendered, stepOK
+		return r.v, RaceOK
 	case <-deadline.C:
 	}
-	// Deadline missed: wait out the grace period for the straggler.
-	graceTimer := time.NewTimer(g.cfg.graceFor(dl))
-	defer graceTimer.Stop()
+	grace := time.NewTimer(cfg.graceFor(dl))
+	defer grace.Stop()
 	select {
-	case res := <-ch:
-		if res.panicErr != nil {
-			// Late panic: the stepper both blew the deadline and died;
-			// protectedStep decides whether that escalates to a demotion.
-			return nil, stepDeadlineLatePanic
+	case r := <-ch:
+		if r.panicked {
+			return zero, RaceLatePanic
 		}
-		// Late success: the result is stale and discarded, but the
-		// stepper's recurrent state advanced, so it keeps its job.
-		return nil, stepDeadlineKept
-	case <-graceTimer.C:
-		return nil, stepDeadlineAbandoned
+		return zero, RaceLateOK
+	case <-grace.C:
+		return zero, RaceAbandoned
 	}
 }
 
-// safeStep calls Step inline, converting a panic into an error.
-func safeStep(st sim.Stepper, t int, frame *occlusion.StaticGraph) (out []bool, panicErr error) {
+// recovered runs call, reporting a panic instead of propagating it.
+func recovered[T any](call func() T) (v T, panicked bool) {
 	defer func() {
-		if p := recover(); p != nil {
-			out = nil
-			panicErr = fmt.Errorf("resilience: step %d panicked: %v", t, p)
+		if recover() != nil {
+			var zero T
+			v, panicked = zero, true
 		}
 	}()
-	return st.Step(t, frame), nil
+	return call(), false
 }

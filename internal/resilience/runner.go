@@ -24,12 +24,6 @@ type runner struct {
 	lastIndex int    // last consumed input index (-1 before the first)
 }
 
-// stepResult is what a protected Step call produced.
-type stepResult struct {
-	rendered []bool
-	panicErr error
-}
-
 // RunEpisode is RunEpisodeTrace without the trace.
 func RunEpisode(rec sim.Recommender, room *dataset.Room, truth *occlusion.DOG, src Source, beta float64, cfg Config) (sim.EpisodeResult, error) {
 	res, _, err := RunEpisodeTrace(rec, room, truth, src, beta, cfg)

@@ -722,80 +722,41 @@ func (rs *roomSession) batchStepper() sim.BatchStepper {
 	return rs.batch
 }
 
-// fusedStep runs one fused StepTargets call under panic recovery and the
-// supplied deadline (<= 0 means unbounded, inline). outs == nil means the
-// pass produced nothing: soloFallback true directs the members to their solo
-// guards for this frame (the pass panicked, so its session state is suspect
-// and is rebuilt fresh for the next batch); false means serve stale (the
-// pass missed its deadline).
+// fusedStep runs one fused StepTargets call through resilience.Race under
+// the supplied deadline (<= 0 means unbounded, inline) and the guards'
+// straggler grace. outs == nil means the pass produced nothing: soloFallback
+// true directs the members to their solo guards for this frame (the pass
+// panicked, so its session state is suspect and is rebuilt fresh for the
+// next batch); false means serve stale (the pass missed its deadline).
 func (rs *roomSession) fusedStep(t int, targets []int, frames []*occlusion.StaticGraph, dl time.Duration) (outs [][]bool, soloFallback bool) {
 	bs := rs.batch
-	run := func() (res [][]bool, panicked bool) {
-		defer func() {
-			if p := recover(); p != nil {
-				res, panicked = nil, true
-			}
-		}()
-		res = bs.StepTargets(t, targets, frames)
+	outs, outcome := resilience.Race(rs.srv.cfg.guardConfig(), dl, func() [][]bool {
+		res := bs.StepTargets(t, targets, frames)
 		if len(res) != len(targets) {
 			// A malformed fused result is as bad as a panic: discard it and
 			// let the solo guards validate their own outputs.
-			return nil, true
+			panic("serve: malformed fused result")
 		}
-		return res, false
-	}
-	if dl <= 0 {
-		res, panicked := run()
-		if panicked {
-			rs.noteBatchPanic()
-			return nil, true
-		}
-		return res, false
-	}
-	type fusedResult struct {
-		outs     [][]bool
-		panicked bool
-	}
-	ch := make(chan fusedResult, 1)
-	go func() {
-		res, panicked := run()
-		ch <- fusedResult{res, panicked}
-	}()
-	timer := time.NewTimer(dl)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		if r.panicked {
-			rs.noteBatchPanic()
-			return nil, true
-		}
-		return r.outs, false
-	case <-timer.C:
-	}
-	// Deadline missed: wait out the straggler grace, mirroring the solo
-	// guards' issueStep.
-	grace := rs.srv.cfg.AbandonAfter - dl
-	if grace < 0 {
-		grace = 0
-	}
-	graceTimer := time.NewTimer(grace)
-	defer graceTimer.Stop()
-	select {
-	case r := <-ch:
-		// Late completion: the shared session advanced but the results are
-		// stale and discarded, exactly like a solo stepDeadlineKept.
-		if r.panicked {
-			rs.noteBatchPanic()
-		}
-		return nil, false
-	case <-graceTimer.C:
+		return res
+	})
+	switch outcome {
+	case resilience.RaceOK:
+		return outs, false
+	case resilience.RacePanicked:
+		rs.noteBatchPanic()
+		return nil, true
+	case resilience.RaceLatePanic:
+		// A late completion's results are stale and discarded, exactly like
+		// a solo late step; a late panic still counts against the path.
+		rs.noteBatchPanic()
+	case resilience.RaceAbandoned:
 		// Straggler abandoned mid-call: the goroutine still owns the shared
 		// session (it would deadlock or corrupt a reuse), so the fused path
 		// retires permanently for this room.
 		rs.batch = nil
 		rs.batchBroken = true
-		return nil, false
 	}
+	return nil, false
 }
 
 // noteBatchPanic books one fused-pass panic: the shared session is rebuilt

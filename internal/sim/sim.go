@@ -74,59 +74,117 @@ func RunEpisode(rec Recommender, room *dataset.Room, dog *occlusion.DOG, beta fl
 // for analyses that need per-step detail (significance tests, optimality
 // gaps).
 func RunEpisodeTrace(rec Recommender, room *dataset.Room, dog *occlusion.DOG, beta float64) (EpisodeResult, [][]bool, error) {
-	if dog.Target < 0 || dog.Target >= room.N {
-		return EpisodeResult{}, nil, fmt.Errorf("sim: target %d out of range", dog.Target)
-	}
-	if len(dog.Frames) == 0 {
-		return EpisodeResult{}, nil, fmt.Errorf("%w (target %d)", ErrEmptyEpisode, dog.Target)
+	dogs := []*occlusion.DOG{dog}
+	targets, err := episodeTargets(room, dogs)
+	if err != nil {
+		return EpisodeResult{}, nil, err
 	}
 	stepper := rec.StartEpisode(room, dog.Target)
-	rendered := make([][]bool, len(dog.Frames))
+	out := make([][]bool, 1)
+	step := func(t int, _ []int, frames []*occlusion.StaticGraph) [][]bool {
+		out[0] = stepper.Step(t, frames[0])
+		return out
+	}
+	ers, rendered, err := runEpisodes(rec.Name(), room, dogs, targets, beta, stepper, step)
+	if err != nil {
+		return EpisodeResult{}, nil, err
+	}
+	return ers[0], rendered[0], nil
+}
+
+// episodeTargets validates a set of episodes over one room — targets in
+// range, at least one frame, equal frame counts — and returns their targets.
+func episodeTargets(room *dataset.Room, dogs []*occlusion.DOG) ([]int, error) {
+	if len(dogs) == 0 {
+		return nil, fmt.Errorf("sim: no episodes")
+	}
+	targets := make([]int, len(dogs))
+	for i, dog := range dogs {
+		if dog.Target < 0 || dog.Target >= room.N {
+			return nil, fmt.Errorf("sim: target %d out of range", dog.Target)
+		}
+		if len(dog.Frames) == 0 {
+			return nil, fmt.Errorf("%w (target %d)", ErrEmptyEpisode, dog.Target)
+		}
+		if len(dog.Frames) != len(dogs[0].Frames) {
+			return nil, fmt.Errorf("sim: batched episodes disagree on length (%d vs %d frames)", len(dog.Frames), len(dogs[0].Frames))
+		}
+		targets[i] = dog.Target
+	}
+	return targets, nil
+}
+
+// runEpisodes is the episode loop behind RunEpisodeTrace and
+// RunBatchedEpisodes: once per time step it hands every dog's frame to step
+// (a width-1 call for a per-target stepper), times the call, and finally
+// scores each target's trace. The per-step obs histogram observes the
+// amortized per-target latency (call wall time ÷ width) so per-target and
+// fused runs chart on the same scale, and StepTime in each result is that
+// same amortized mean. stepper is offered the episode's profiling labels.
+func runEpisodes(rec string, room *dataset.Room, dogs []*occlusion.DOG, targets []int, beta float64, stepper any,
+	step func(t int, targets []int, frames []*occlusion.StaticGraph) [][]bool) ([]EpisodeResult, [][][]bool, error) {
+	steps := len(dogs[0].Frames)
+	rendered := make([][][]bool, len(dogs))
+	for i := range rendered {
+		rendered[i] = make([][]bool, steps)
+	}
 	// Per-recommender step-latency histogram and per-step span: both vanish
 	// (nil handle / empty span name never interned) when obs is off, so the
 	// disabled loop stays allocation-free.
 	var stepHist *obs.Histogram
 	var spanName string
 	if obs.On() {
-		stepHist = obs.Default().Histogram(obs.Label("sim.step", "rec", rec.Name()))
-		spanName = "step." + rec.Name()
+		stepHist = obs.Default().Histogram(obs.Label("sim.step", "rec", rec))
+		spanName = "step." + rec
 	}
 	// Continuous-profiling attribution: label this goroutine (and, through
 	// prof.Carrier, the stepper's internal phase switches) with the episode's
 	// (room, rec) pair for the duration of the loop. One load-and-branch when
 	// profiling is off.
 	if prof.On() {
-		ls := prof.NewLabels(room.Name, rec.Name())
+		ls := prof.NewLabels(room.Name, rec)
 		if pc, ok := stepper.(prof.Carrier); ok {
 			pc.SetProfLabels(ls)
 		}
 		ls.Set(prof.PhaseNone)
 		defer prof.Clear()
 	}
+	frames := make([]*occlusion.StaticGraph, len(dogs))
 	var elapsed time.Duration
-	for t, frame := range dog.Frames {
+	for t := 0; t < steps; t++ {
+		for i, dog := range dogs {
+			frames[i] = dog.Frames[t]
+		}
 		sp := obs.Begin(spanName)
 		start := time.Now()
-		rendered[t] = stepper.Step(t, frame)
+		out := step(t, targets, frames)
 		d := time.Since(start)
 		sp.End()
 		elapsed += d
-		stepHist.Observe(d)
+		stepHist.Observe(d / time.Duration(len(dogs)))
+		for i := range dogs {
+			rendered[i][t] = out[i]
+		}
 	}
-	obsEpisodes.Inc()
-	res, err := metrics.Score(room, dog, rendered, beta)
-	if err != nil {
-		return EpisodeResult{}, nil, err
+	perTarget := elapsed / time.Duration(steps*len(dogs))
+	results := make([]EpisodeResult, len(dogs))
+	for i, dog := range dogs {
+		res, err := metrics.Score(room, dog, rendered[i], beta)
+		if err != nil {
+			return nil, nil, err
+		}
+		res.StepTime = perTarget
+		// Quality telemetry observes the finished trace (attribution, oracle
+		// regret, churn, drift detectors). Gated on quality.On() — two atomic
+		// loads when disabled — and pure observation when enabled: it touches
+		// no RNG and mutates nothing, so scores are bit-identical either way.
+		if quality.On() {
+			quality.Default().RecordEpisode(rec, room, dog, rendered[i], beta)
+		}
+		results[i] = EpisodeResult{Recommender: rec, Target: dog.Target, Result: res}
+		obsEpisodes.Inc()
 	}
-	res.StepTime = elapsed / time.Duration(len(dog.Frames))
-	// Quality telemetry observes the finished trace (attribution, oracle
-	// regret, churn, drift detectors). Gated on quality.On() — two atomic
-	// loads when disabled — and pure observation when enabled: it touches no
-	// RNG and mutates nothing, so scores are bit-identical either way.
-	if quality.On() {
-		quality.Default().RecordEpisode(rec.Name(), room, dog, rendered, beta)
-	}
-	return EpisodeResult{Recommender: rec.Name(), Target: dog.Target, Result: res}, rendered, nil
+	return results, rendered, nil
 }
 
 // Evaluate runs each recommender over the same targets in room and returns,
