@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"after/internal/dataset"
+	"after/internal/nn"
 	"after/internal/obs"
 	"after/internal/obs/prof"
 	"after/internal/occlusion"
@@ -26,15 +27,12 @@ type BatchOptions struct {
 }
 
 // batchState is one target's recurrent state inside a BatchSession: the
-// previous frame, r_{t-1} and h_{t-1}, stored as raw slices (float32 ones
-// when the session runs the fast path) because inference never touches the
-// autodiff tape.
-type batchState struct {
+// previous frame, r_{t-1} and h_{t-1}, stored as raw slices in the pass's
+// precision because inference never touches the autodiff tape.
+type batchState[F tensor.Float] struct {
 	prevFrame *occlusion.StaticGraph
-	prevR     []float64
-	prevH     []float64
-	prevR32   []float32
-	prevH32   []float32
+	prevR     []F
+	prevH     []F
 
 	// Degree caches for the Δ features: deg/two hold |N(w)| and
 	// Σ_{u∈N(w)}|N(u)| of degFrame, degPrev/twoPrev the same for
@@ -46,23 +44,117 @@ type batchState struct {
 	degFrame, degPrevFrame *occlusion.StaticGraph
 }
 
-// weights32 holds the one-time float32 copies of the model parameters used
-// by the fast path.
-type weights32 struct {
-	pdr1M1, pdr1M2 *tensor.Matrix32
-	pdr2M1, pdr2M2 *tensor.Matrix32
-	lwp1M1, lwp1M2 *tensor.Matrix32
-	lwp2M1, lwp2M2 *tensor.Matrix32
-	lwp3M1, lwp3M2 *tensor.Matrix32
+// precision is what the fused pass does differently per element type. One
+// value per precision is picked in StartBatchSession from
+// BatchOptions.Float32; the pass itself, the convolution and the kernels
+// exist once, generic over F.
+type precision[F tensor.Float] struct {
+	kern    *tensor.Kernels[F] // bound to this precision's AVX2 entry points
+	scratch tensor.Pool[F]
+	// weight turns a model parameter into the pass's weight matrix: float64
+	// views the live parameter, which Adam updates in place; float32 rounds a
+	// copy once per session.
+	weight func(*tensor.Matrix) *tensor.Dense[F]
+	// sigmoidInto is the sigmoid epilogue dst = σ(dst + a) over whole slices,
+	// so its element loop stays monomorphic.
+	sigmoidInto func(dst, a []F)
+	// reassociate lets a narrowing convolution compute A·(in·M2) instead of
+	// (A·in)·M2 (see conv). Float64 never reassociates: its accumulation
+	// order is contractual.
+	reassociate bool
+}
+
+var (
+	prec64 = &precision[float64]{
+		kern:        tensor.F64,
+		weight:      func(m *tensor.Matrix) *tensor.Dense[float64] { return (*tensor.Dense[float64])(m) },
+		sigmoidInto: sigmoidInto64,
+	}
+	prec32 = &precision[float32]{
+		kern:        tensor.F32,
+		weight:      tensor.ToMatrix32,
+		sigmoidInto: sigmoidInto32,
+		reassociate: true,
+	}
+)
+
+// convWeights holds one graph convolution's (M1, M2) at the pass's
+// precision.
+type convWeights[F tensor.Float] struct{ m1, m2 *tensor.Dense[F] }
+
+// fusedPass is a BatchSession's forward pass at the session's precision,
+// together with its targets' recurrent state. Callers hold the session's
+// mutex.
+type fusedPass interface {
+	step(targets []int, frames []*occlusion.StaticGraph) [][]bool
+	// probabilities returns a float64 copy of target's last r_t, or nil
+	// before its first step.
+	probabilities(target int) []float64
+}
+
+// pass is one BatchSession's fused forward pass at precision F.
+type pass[F tensor.Float] struct {
+	*precision[F]
+	b                *BatchSession
+	states           map[int]*batchState[F]
+	col              []float64 // one target's r_t, widened for decoding
+	pdr1, pdr2       convWeights[F]
+	lwp1, lwp2, lwp3 convWeights[F] // zero without LWP
+}
+
+// newPass binds b's model weights at precision p.
+func newPass[F tensor.Float](b *BatchSession, p *precision[F]) *pass[F] {
+	weights := func(gc *nn.GraphConv) convWeights[F] {
+		if gc == nil {
+			return convWeights[F]{}
+		}
+		return convWeights[F]{p.weight(gc.M1.Value), p.weight(gc.M2.Value)}
+	}
+	m := b.model
+	return &pass[F]{
+		precision: p,
+		b:         b,
+		states:    make(map[int]*batchState[F]),
+		col:       make([]float64, b.room.N),
+		pdr1:      weights(m.pdr1),
+		pdr2:      weights(m.pdr2),
+		lwp1:      weights(m.lwp1),
+		lwp2:      weights(m.lwp2),
+		lwp3:      weights(m.lwp3),
+	}
+}
+
+// state returns (creating if needed) the recurrent state of one target.
+func (ps *pass[F]) state(target int) *batchState[F] {
+	st := ps.states[target]
+	if st == nil {
+		n := ps.b.room.N
+		st = &batchState[F]{prevR: make([]F, n), prevH: make([]F, n*ps.b.model.cfg.Hidden)}
+		ps.states[target] = st
+	}
+	return st
+}
+
+func (ps *pass[F]) probabilities(target int) []float64 {
+	st := ps.states[target]
+	if st == nil {
+		return nil
+	}
+	out := make([]float64, len(st.prevR))
+	for w, v := range st.prevR {
+		out[w] = float64(v)
+	}
+	return out
 }
 
 // BatchSession is POSHGNN's one inference path: it runs the forward pass for
 // many targets of one room in a single fused pass per step, and a lone
 // target is a width-1 batch (see Session). The K targets' feature matrices
 // are stacked target-major into one N×(K·d) batch, every graph convolution
-// runs as one multi-column SpMM + blocked projection (tensor.SpMMBatchInto /
-// MatMulBlocksInto), and all intermediate activations live in pooled
-// scratch — no autodiff tape is built.
+// runs as one multi-column SpMM + blocked projection (tensor.Kernels'
+// SpMMBatchInto / MatMulBlocksInto), and all intermediate activations live
+// in pooled scratch — no autodiff tape is built. One generic pass serves
+// both precisions (see precision).
 //
 // The float64 path is bit-identical to the autodiff forward pass training
 // uses (per column block every kernel replicates its accumulation order;
@@ -78,16 +170,14 @@ type weights32 struct {
 type BatchSession struct {
 	model *POSHGNN
 	room  *dataset.Room
-	opt   BatchOptions
 
 	// iface is the interface-flag feature column (1 for MR users), computed
 	// once per session: it is target- and frame-independent.
 	iface []float64
 
-	mu     sync.Mutex
-	states map[int]*batchState
-	adjs   []*tensor.CSR // reused per-step graph list (len = batch K)
-	w32    *weights32    // nil until the Float32 path first runs
+	mu    sync.Mutex
+	fused fusedPass     // the pass at the session's precision, with per-target state
+	adjs  []*tensor.CSR // reused per-step graph list (len = batch K)
 
 	// traceParent parents the next batch.step span (atomic: serving workers
 	// may set it concurrently with another worker's StepTargets). curSpan is
@@ -122,11 +212,9 @@ func (b *BatchSession) SetProfLabels(l *prof.Labels) {
 // state is created on first use.
 func (m *POSHGNN) StartBatchSession(room *dataset.Room, opt BatchOptions) *BatchSession {
 	b := &BatchSession{
-		model:  m,
-		room:   room,
-		opt:    opt,
-		iface:  make([]float64, room.N),
-		states: make(map[int]*batchState),
+		model: m,
+		room:  room,
+		iface: make([]float64, room.N),
 	}
 	for w, ifc := range room.Interfaces {
 		if ifc == occlusion.MR {
@@ -134,39 +222,11 @@ func (m *POSHGNN) StartBatchSession(room *dataset.Room, opt BatchOptions) *Batch
 		}
 	}
 	if opt.Float32 {
-		b.w32 = m.convertWeights32()
+		b.fused = newPass(b, prec32)
+	} else {
+		b.fused = newPass(b, prec64)
 	}
 	return b
-}
-
-func (m *POSHGNN) convertWeights32() *weights32 {
-	w := &weights32{
-		pdr1M1: tensor.ToMatrix32(m.pdr1.M1.Value), pdr1M2: tensor.ToMatrix32(m.pdr1.M2.Value),
-		pdr2M1: tensor.ToMatrix32(m.pdr2.M1.Value), pdr2M2: tensor.ToMatrix32(m.pdr2.M2.Value),
-	}
-	if m.cfg.UseLWP {
-		w.lwp1M1, w.lwp1M2 = tensor.ToMatrix32(m.lwp1.M1.Value), tensor.ToMatrix32(m.lwp1.M2.Value)
-		w.lwp2M1, w.lwp2M2 = tensor.ToMatrix32(m.lwp2.M1.Value), tensor.ToMatrix32(m.lwp2.M2.Value)
-		w.lwp3M1, w.lwp3M2 = tensor.ToMatrix32(m.lwp3.M1.Value), tensor.ToMatrix32(m.lwp3.M2.Value)
-	}
-	return w
-}
-
-// state returns (creating if needed) the recurrent state of one target.
-func (b *BatchSession) state(target int) *batchState {
-	st := b.states[target]
-	if st == nil {
-		st = &batchState{}
-		if b.opt.Float32 {
-			st.prevR32 = make([]float32, b.room.N)
-			st.prevH32 = make([]float32, b.room.N*b.model.cfg.Hidden)
-		} else {
-			st.prevR = make([]float64, b.room.N)
-			st.prevH = make([]float64, b.room.N*b.model.cfg.Hidden)
-		}
-		b.states[target] = st
-	}
-	return st
 }
 
 // StepTargets advances every listed target by one step in a single fused
@@ -194,10 +254,7 @@ func (b *BatchSession) StepTargets(t int, targets []int, frames []*occlusion.Sta
 	lbl := b.profLabels.Load()
 	lbl.Set(prof.PhaseBatch)
 	defer lbl.Set(prof.PhaseNone)
-	if b.opt.Float32 {
-		return b.step32(t, targets, frames)
-	}
-	return b.step64(t, targets, frames)
+	return b.fused.step(targets, frames)
 }
 
 // elementwise activation selectors for the fused conv epilogues.
@@ -206,43 +263,61 @@ const (
 	actSigmoid
 )
 
-// convWide runs one graph convolution over the whole batch:
+// conv runs one graph convolution over the whole batch:
 // dst = act(in·M1 + (A_k·in)·M2 per column block k). The additive order —
 // the dense term fully materialized first, the aggregated term second, then
 // a single elementwise add — replicates GraphConv.ForwardSparse exactly, so
-// every column stays bit-identical to the autodiff forward pass.
+// every float64 column stays bit-identical to the autodiff forward pass.
+//
+// A precision that may reassociate takes one liberty when the convolution
+// narrows (dout < din): the aggregated term is computed as A·(in·M2) — the
+// same value under exact arithmetic, but the sparse gather then runs at the
+// output width (1 or 8 columns instead of 8 or 16), roughly halving the
+// model's total SpMM traffic.
 //
 // lbl/ret refine the profiling attribution: the sparse gather runs under the
 // spmm phase label and the enclosing phase (ret) is restored afterwards, so
 // flamegraphs separate SpMM bandwidth from the dense projections.
-func convWide(dst, in *tensor.Matrix, adjs []*tensor.CSR, m1, m2 *tensor.Matrix, act int, lbl *prof.Labels, ret prof.Phase) {
-	ws := tensor.Scratch()
+func (ps *pass[F]) conv(dst, in *tensor.Dense[F], adjs []*tensor.CSR, w convWeights[F], act int, lbl *prof.Labels, ret prof.Phase) {
+	ws, kern := &ps.scratch, ps.kern
 	k := len(adjs)
-	tensor.MatMulBlocksInto(dst, in, m1, k)
-	msg := ws.Get(in.Rows, in.Cols)
-	lbl.Set(prof.PhaseSpMM)
-	tensor.SpMMBatchInto(msg, adjs, in)
-	lbl.Set(ret)
-	agg := ws.Get(dst.Rows, dst.Cols)
-	tensor.MatMulBlocksInto(agg, msg, m2, k)
-	ws.Put(msg)
+	kern.MatMulBlocksInto(dst, in, w.m1, k)
+	var agg *tensor.Dense[F]
+	if ps.reassociate && w.m2.Cols < w.m2.Rows {
+		hm := ws.Get(in.Rows, k*w.m2.Cols)
+		kern.MatMulBlocksInto(hm, in, w.m2, k)
+		agg = ws.Get(dst.Rows, dst.Cols)
+		lbl.Set(prof.PhaseSpMM)
+		kern.SpMMBatchInto(agg, adjs, hm)
+		lbl.Set(ret)
+		ws.Put(hm)
+	} else {
+		msg := ws.Get(in.Rows, in.Cols)
+		lbl.Set(prof.PhaseSpMM)
+		kern.SpMMBatchInto(msg, adjs, in)
+		lbl.Set(ret)
+		agg = ws.Get(dst.Rows, dst.Cols)
+		kern.MatMulBlocksInto(agg, msg, w.m2, k)
+		ws.Put(msg)
+	}
 	switch act {
 	case actReLU:
-		tensor.AddReLUInto(dst.Data, agg.Data)
+		kern.AddReLUInto(dst.Data, agg.Data)
 	case actSigmoid:
-		for i, v := range agg.Data {
-			dst.Data[i] = 1 / (1 + math.Exp(-(dst.Data[i] + v)))
-		}
+		ps.sigmoidInto(dst.Data, agg.Data)
 	}
 	ws.Put(agg)
 }
 
-// step64 is the bit-exact float64 batched forward pass.
-func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGraph) [][]bool {
+// step is the batched forward pass: MIA fills the wide feature matrices,
+// PDR and LWP run as fused convolutions, and each target's column is
+// scattered back into its state and decoded.
+func (ps *pass[F]) step(targets []int, frames []*occlusion.StaticGraph) [][]bool {
+	b := ps.b
 	m, room := b.model, b.room
 	n, bk, hid := room.N, len(targets), m.cfg.Hidden
 	useLWP := m.cfg.UseLWP
-	ws := tensor.Scratch()
+	ws := &ps.scratch
 	lbl := b.profLabels.Load()
 
 	spMIA := obs.BeginChild("mia", b.curSpan)
@@ -254,15 +329,14 @@ func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGr
 	x := ws.Get(n, bk*featureDim)
 	mask := ws.Get(n, bk)
 	prevR := ws.Get(n, bk)
-	var delta, prevH *tensor.Matrix
-	var deltaD, prevHD []float64 // nil without LWP
+	var delta, prevH *tensor.Dense[F]
+	var deltaD, prevHD []F // nil without LWP
 	if useLWP {
 		delta, prevH = ws.Get(n, bk*deltaDim), ws.Get(n, bk*hid)
 		deltaD, prevHD = delta.Data, prevH.Data
 	}
 	for k, target := range targets {
-		st := b.state(target)
-		fillColumns(b, k, bk, frames[k], st, st.prevR, st.prevH, x.Data, mask.Data, prevR.Data, deltaD, prevHD)
+		fillColumns(b, k, bk, frames[k], ps.state(target), x.Data, mask.Data, prevR.Data, deltaD, prevHD)
 		adjs[k] = frames[k].AdjacencyCSR()
 	}
 	spMIA.End()
@@ -270,9 +344,9 @@ func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGr
 	spPDR := obs.BeginChild("pdr", b.curSpan)
 	lbl.Set(prof.PhasePDR)
 	h := ws.Get(n, bk*hid)
-	convWide(h, x, adjs, m.pdr1.M1.Value, m.pdr1.M2.Value, actReLU, lbl, prof.PhasePDR)
+	ps.conv(h, x, adjs, ps.pdr1, actReLU, lbl, prof.PhasePDR)
 	rt := ws.Get(n, bk)
-	convWide(rt, h, adjs, m.pdr2.M1.Value, m.pdr2.M2.Value, actSigmoid, lbl, prof.PhasePDR)
+	ps.conv(rt, h, adjs, ps.pdr2, actSigmoid, lbl, prof.PhasePDR)
 	spPDR.End()
 
 	r := ws.Get(n, bk)
@@ -287,11 +361,11 @@ func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGr
 		lwpIn := ws.Get(n, bk*(featureDim+deltaDim+hid+1))
 		lwpInput(lwpIn.Data, x.Data, delta.Data, prevH.Data, prevR.Data, bk, hid)
 		z1 := ws.Get(n, bk*hid)
-		convWide(z1, lwpIn, adjs, m.lwp1.M1.Value, m.lwp1.M2.Value, actReLU, lbl, prof.PhaseLWP)
+		ps.conv(z1, lwpIn, adjs, ps.lwp1, actReLU, lbl, prof.PhaseLWP)
 		z2 := ws.Get(n, bk*hid)
-		convWide(z2, z1, adjs, m.lwp2.M1.Value, m.lwp2.M2.Value, actReLU, lbl, prof.PhaseLWP)
+		ps.conv(z2, z1, adjs, ps.lwp2, actReLU, lbl, prof.PhaseLWP)
 		sigma := ws.Get(n, bk)
-		convWide(sigma, z2, adjs, m.lwp3.M1.Value, m.lwp3.M2.Value, actSigmoid, lbl, prof.PhaseLWP)
+		ps.conv(sigma, z2, adjs, ps.lwp3, actSigmoid, lbl, prof.PhaseLWP)
 		gate(r.Data, mask.Data, rt.Data, sigma.Data, prevR.Data)
 		ws.Put(lwpIn)
 		ws.Put(z1)
@@ -304,14 +378,13 @@ func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGr
 	spDecode := obs.BeginChild("decode", b.curSpan)
 	lbl.Set(prof.PhaseDecode)
 	out := make([][]bool, bk)
-	col := ws.Get(n, 1)
+	col := tensor.Matrix{Rows: n, Cols: 1, Data: ps.col}
 	for k, target := range targets {
-		st := b.state(target)
+		st := ps.state(target)
 		st.prevFrame = frames[k]
-		scatterColumn(st.prevR, st.prevH, col.Data, r.Data, h.Data, k, bk, hid)
-		out[k] = b.decode(col, frames[k], target)
+		scatterColumn(st, col.Data, r.Data, h.Data, k, bk, hid)
+		out[k] = b.decode(&col, frames[k], target)
 	}
-	ws.Put(col)
 	spDecode.End()
 
 	ws.Put(x)
@@ -324,7 +397,6 @@ func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGr
 	ws.Put(h)
 	ws.Put(rt)
 	ws.Put(r)
-	_ = t
 	return out
 }
 
@@ -334,10 +406,9 @@ func (b *BatchSession) step64(t int, targets []int, frames []*occlusion.StaticGr
 // all-zero with mask 0, distance is scaled by the room diagonal, the
 // physical mask prunes MR-occluded users for an MR target, and the
 // blocklist zeroes its entries. Features are computed in float64 exactly as
-// MIA does and rounded once on store on the float32 path. stR/stH are the
-// target's recurrent state in the session's precision; delta and prevH are
-// nil when LWP is off.
-func fillColumns[F float32 | float64](b *BatchSession, k, bk int, frame *occlusion.StaticGraph, st *batchState, stR, stH, x, mask, prevR, delta, prevH []F) {
+// MIA does and rounded once on store on the float32 path. st is the
+// target's recurrent state; delta and prevH are nil when LWP is off.
+func fillColumns[F tensor.Float](b *BatchSession, k, bk int, frame *occlusion.StaticGraph, st *batchState[F], x, mask, prevR, delta, prevH []F) {
 	room, mia := b.room, &b.model.mia
 	n := room.N
 	target := frame.Target
@@ -370,22 +441,21 @@ func fillColumns[F float32 | float64](b *BatchSession, k, bk int, frame *occlusi
 			}
 			mask[w*bk+k] = mk
 		}
-		prevR[w*bk+k] = stR[w]
+		prevR[w*bk+k] = st.prevR[w]
 	}
 	if delta != nil {
 		fillDeltaColumn(b, delta, k, bk, frame, st)
 	}
 	if prevH != nil {
 		for w := 0; w < n; w++ {
-			o := (w*bk + k) * hid
-			copy(prevH[o:o+hid], stH[w*hid:(w+1)*hid])
+			copy(prevH[(w*bk+k)*hid:][:hid], st.prevH[w*hid:(w+1)*hid])
 		}
 	}
 }
 
 // lwpInput assembles LWP's input [x̂ ‖ Δ ‖ h_{t-1} ‖ r_{t-1}] per column
 // block — the wide layout of tensor.Concat's column order.
-func lwpInput[F float32 | float64](dst, x, delta, prevH, prevR []F, bk, hid int) {
+func lwpInput[F tensor.Float](dst, x, delta, prevH, prevR []F, bk, hid int) {
 	width := featureDim + deltaDim + hid + 1
 	for i := 0; i < len(prevR)/bk; i++ {
 		row := dst[i*bk*width : (i+1)*bk*width]
@@ -401,7 +471,7 @@ func lwpInput[F float32 | float64](dst, x, delta, prevH, prevR []F, bk, hid int)
 
 // gate applies LWP's preservation gate r = m ⊗ [(1−σ)⊗r̃ + σ⊗r_{t−1}] in
 // the autodiff forward pass's scalar order.
-func gate[F float32 | float64](r, mask, rt, sigma, prevR []F) {
+func gate[F tensor.Float](r, mask, rt, sigma, prevR []F) {
 	for i, mv := range mask {
 		s := sigma[i]
 		r[i] = mv * ((1-s)*rt[i] + s*prevR[i])
@@ -410,12 +480,12 @@ func gate[F float32 | float64](r, mask, rt, sigma, prevR []F) {
 
 // scatterColumn copies column block k of r and h back into one target's
 // recurrent state and widens its probabilities into col for decoding.
-func scatterColumn[F float32 | float64](stR, stH []F, col []float64, r, h []F, k, bk, hid int) {
-	for w := range stR {
+func scatterColumn[F tensor.Float](st *batchState[F], col []float64, r, h []F, k, bk, hid int) {
+	for w := range st.prevR {
 		c := w*bk + k
-		stR[w] = r[c]
+		st.prevR[w] = r[c]
 		col[w] = float64(r[c])
-		copy(stH[w*hid:(w+1)*hid], h[c*hid:(c+1)*hid])
+		copy(st.prevH[w*hid:(w+1)*hid], h[c*hid:(c+1)*hid])
 	}
 }
 
@@ -442,8 +512,7 @@ func degTwoInto(frame *occlusion.StaticGraph, deg, two []float64) {
 // sums are computed once, when it is current). The returned slices alias the
 // cache and are valid until the target's next step. Duplicate columns for the
 // same target within one batch see identical sums.
-func (b *BatchSession) deltaDegrees(st *batchState, frame *occlusion.StaticGraph) (deg, two, degPrev, twoPrev []float64) {
-	n := b.room.N
+func deltaDegrees[F tensor.Float](n int, st *batchState[F], frame *occlusion.StaticGraph) (deg, two, degPrev, twoPrev []float64) {
 	if st.deg == nil {
 		st.deg, st.two = make([]float64, n), make([]float64, n)
 		st.degPrev, st.twoPrev = make([]float64, n), make([]float64, n)
@@ -471,7 +540,7 @@ func (b *BatchSession) deltaDegrees(st *batchState, frame *occlusion.StaticGraph
 // fillDeltaColumn is fillDelta scattered into column block k of the wide Δ
 // matrix. When MIA is disabled the block is zeroed, matching the autodiff
 // path's untouched zero matrix.
-func fillDeltaColumn[F float32 | float64](b *BatchSession, delta []F, k, bk int, frame *occlusion.StaticGraph, st *batchState) {
+func fillDeltaColumn[F tensor.Float](b *BatchSession, delta []F, k, bk int, frame *occlusion.StaticGraph, st *batchState[F]) {
 	n := frame.N
 	if !b.model.mia.Enabled {
 		for w := 0; w < n; w++ {
@@ -480,7 +549,7 @@ func fillDeltaColumn[F float32 | float64](b *BatchSession, delta []F, k, bk int,
 		}
 		return
 	}
-	deg, two, degPrev, twoPrev := b.deltaDegrees(st, frame)
+	deg, two, degPrev, twoPrev := deltaDegrees(n, st, frame)
 	scale := 1 / float64(n)
 	for w := 0; w < n; w++ {
 		o := (w*bk + k) * deltaDim
@@ -516,138 +585,19 @@ func (b *BatchSession) decode(r *tensor.Matrix, frame *occlusion.StaticGraph, ta
 	return decodeRecommendation(r, frame, target, cfg.Threshold, cfg.MaxRender)
 }
 
-// step32 is the float32 fast path: identical structure to step64, single
-// precision accumulation. The sigmoid still evaluates math.Exp in float64
-// (Go has no float32 exp) — only storage and the mat-mul/SpMM accumulators
-// are f32, which is where the bandwidth is.
-func (b *BatchSession) step32(t int, targets []int, frames []*occlusion.StaticGraph) [][]bool {
-	m, room := b.model, b.room
-	n, bk, hid := room.N, len(targets), m.cfg.Hidden
-	useLWP := m.cfg.UseLWP
-	ws := tensor.Scratch32()
-	lbl := b.profLabels.Load()
-
-	spMIA := obs.BeginChild("mia", b.curSpan)
-	lbl.Set(prof.PhaseMIA)
-	if cap(b.adjs) < bk {
-		b.adjs = make([]*tensor.CSR, bk)
+// sigmoidInto64 is the float64 sigmoid epilogue dst = σ(dst + a), on
+// math.Exp: the float64 bits are contractual.
+func sigmoidInto64(dst, a []float64) {
+	for i, v := range a {
+		dst[i] = 1 / (1 + math.Exp(-(dst[i] + v)))
 	}
-	adjs := b.adjs[:bk]
-	x := ws.Get(n, bk*featureDim)
-	mask := ws.Get(n, bk)
-	prevR := ws.Get(n, bk)
-	var delta, prevH *tensor.Matrix32
-	var deltaD, prevHD []float32 // nil without LWP
-	if useLWP {
-		delta, prevH = ws.Get(n, bk*deltaDim), ws.Get(n, bk*hid)
-		deltaD, prevHD = delta.Data, prevH.Data
-	}
-	for k, target := range targets {
-		st := b.state(target)
-		fillColumns(b, k, bk, frames[k], st, st.prevR32, st.prevH32, x.Data, mask.Data, prevR.Data, deltaD, prevHD)
-		adjs[k] = frames[k].AdjacencyCSR()
-	}
-	spMIA.End()
-
-	spPDR := obs.BeginChild("pdr", b.curSpan)
-	lbl.Set(prof.PhasePDR)
-	h := ws.Get(n, bk*hid)
-	convWide32(h, x, adjs, b.w32.pdr1M1, b.w32.pdr1M2, actReLU, lbl, prof.PhasePDR)
-	rt := ws.Get(n, bk)
-	convWide32(rt, h, adjs, b.w32.pdr2M1, b.w32.pdr2M2, actSigmoid, lbl, prof.PhasePDR)
-	spPDR.End()
-
-	r := ws.Get(n, bk)
-	if !useLWP {
-		lbl.Set(prof.PhaseBatch)
-		for i, mv := range mask.Data {
-			r.Data[i] = mv * rt.Data[i]
-		}
-	} else {
-		spLWP := obs.BeginChild("lwp", b.curSpan)
-		lbl.Set(prof.PhaseLWP)
-		lwpIn := ws.Get(n, bk*(featureDim+deltaDim+hid+1))
-		lwpInput(lwpIn.Data, x.Data, delta.Data, prevH.Data, prevR.Data, bk, hid)
-		z1 := ws.Get(n, bk*hid)
-		convWide32(z1, lwpIn, adjs, b.w32.lwp1M1, b.w32.lwp1M2, actReLU, lbl, prof.PhaseLWP)
-		z2 := ws.Get(n, bk*hid)
-		convWide32(z2, z1, adjs, b.w32.lwp2M1, b.w32.lwp2M2, actReLU, lbl, prof.PhaseLWP)
-		sigma := ws.Get(n, bk)
-		convWide32(sigma, z2, adjs, b.w32.lwp3M1, b.w32.lwp3M2, actSigmoid, lbl, prof.PhaseLWP)
-		gate(r.Data, mask.Data, rt.Data, sigma.Data, prevR.Data)
-		ws.Put(lwpIn)
-		ws.Put(z1)
-		ws.Put(z2)
-		ws.Put(sigma)
-		spLWP.End()
-	}
-
-	spDecode := obs.BeginChild("decode", b.curSpan)
-	lbl.Set(prof.PhaseDecode)
-	out := make([][]bool, bk)
-	col := tensor.Scratch().Get(n, 1)
-	for k, target := range targets {
-		st := b.state(target)
-		st.prevFrame = frames[k]
-		scatterColumn(st.prevR32, st.prevH32, col.Data, r.Data, h.Data, k, bk, hid)
-		out[k] = b.decode(col, frames[k], target)
-	}
-	tensor.Scratch().Put(col)
-	spDecode.End()
-
-	ws.Put(x)
-	ws.Put(mask)
-	ws.Put(prevR)
-	if useLWP {
-		ws.Put(delta)
-		ws.Put(prevH)
-	}
-	ws.Put(h)
-	ws.Put(rt)
-	ws.Put(r)
-	_ = t
-	return out
 }
 
-// convWide32 mirrors convWide in float32, with one extra liberty the
-// tolerance contract allows: when the convolution narrows (dout < din) the
-// aggregated term is computed as A·(in·M2) instead of (A·in)·M2 — the same
-// value under exact arithmetic, but the sparse gather then runs at the
-// output width (1 or 8 columns instead of 8 or 16), roughly halving the
-// model's total SpMM traffic. Float64 never reassociates: its accumulation
-// order is contractual.
-func convWide32(dst, in *tensor.Matrix32, adjs []*tensor.CSR, m1, m2 *tensor.Matrix32, act int, lbl *prof.Labels, ret prof.Phase) {
-	ws := tensor.Scratch32()
-	k := len(adjs)
-	din, dout := m2.Rows, m2.Cols
-	tensor.MatMulBlocksInto32(dst, in, m1, k)
-	var agg *tensor.Matrix32
-	if dout < din {
-		hm := ws.Get(in.Rows, k*dout)
-		tensor.MatMulBlocksInto32(hm, in, m2, k)
-		agg = ws.Get(dst.Rows, dst.Cols)
-		lbl.Set(prof.PhaseSpMM)
-		tensor.SpMMBatchInto32(agg, adjs, hm)
-		lbl.Set(ret)
-		ws.Put(hm)
-	} else {
-		msg := ws.Get(in.Rows, in.Cols)
-		lbl.Set(prof.PhaseSpMM)
-		tensor.SpMMBatchInto32(msg, adjs, in)
-		lbl.Set(ret)
-		agg = ws.Get(dst.Rows, dst.Cols)
-		tensor.MatMulBlocksInto32(agg, msg, m2, k)
-		ws.Put(msg)
+// sigmoidInto32 is the float32 sigmoid epilogue, on fastSigmoid32.
+func sigmoidInto32(dst, a []float32) {
+	for i, v := range a {
+		dst[i] = fastSigmoid32(dst[i] + v)
 	}
-	switch act {
-	case actReLU:
-		tensor.AddReLUInto32(dst.Data, agg.Data)
-	case actSigmoid:
-		for i, v := range agg.Data {
-			dst.Data[i] = fastSigmoid32(dst.Data[i] + v)
-		}
-	}
-	ws.Put(agg)
 }
 
 // fastSigmoid32 evaluates 1/(1+e^{−z}) with a range-reduced degree-5
@@ -710,21 +660,9 @@ func (s *Session) Step(t int, frame *occlusion.StaticGraph) []bool {
 // Probabilities returns a copy of the last step's recommendation vector r_t,
 // useful for diagnostics; nil before the first Step.
 func (s *Session) Probabilities() []float64 {
-	b := s.b
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	st := b.states[s.targets[0]]
-	if st == nil {
-		return nil
-	}
-	if b.opt.Float32 {
-		out := make([]float64, len(st.prevR32))
-		for w, v := range st.prevR32 {
-			out[w] = float64(v)
-		}
-		return out
-	}
-	return append([]float64(nil), st.prevR...)
+	s.b.mu.Lock()
+	defer s.b.mu.Unlock()
+	return s.b.fused.probabilities(s.targets[0])
 }
 
 // SetProfLabels implements prof.Carrier by forwarding to the underlying

@@ -57,15 +57,7 @@ func runBatched(m *POSHGNN, room *dataset.Room, targets []int, dogs []*occlusion
 	}
 	probs := make([][]float64, len(targets))
 	for i, target := range targets {
-		st := bs.states[target]
-		if opt.Float32 {
-			probs[i] = make([]float64, room.N)
-			for w, v := range st.prevR32 {
-				probs[i][w] = float64(v)
-			}
-		} else {
-			probs[i] = append([]float64(nil), st.prevR...)
-		}
+		probs[i] = bs.View(target).Probabilities()
 	}
 	return rendered, probs
 }

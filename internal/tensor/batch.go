@@ -18,14 +18,128 @@ import (
 // SpMM. Per column block the accumulation order is exactly SpMMInto's /
 // MatMulInto's, which is what makes the batched forward pass bit-identical
 // to the sequential one (pinned in internal/core's batch property tests).
+//
+// Every kernel is written once, generic over the element type, and bound to
+// each precision's AVX2 entry points by a Kernels value: F64, the oracle
+// precision, and F32, the serving fast path.
+
+// Float is the element type of the batched inference kernels.
+type Float interface{ float32 | float64 }
+
+// Dense is a row-major rows×cols matrix of the batched inference path. Its
+// layout is Matrix's, so a *Matrix converts to a *Dense[float64] in place.
+type Dense[F Float] struct {
+	Rows, Cols int
+	Data       []F
+}
+
+// Matrix32 is the float32 matrix of the inference fast path
+// (core.BatchSession with Float32 set): serving sessions trade the float64
+// oracle's last bits for halved memory traffic. It has no autodiff.
+type Matrix32 = Dense[float32]
+
+// NewMatrix32 allocates a zero rows×cols float32 matrix.
+func NewMatrix32(rows, cols int) *Matrix32 {
+	if rows <= 0 || cols <= 0 {
+		panic(fmt.Sprintf("tensor: invalid matrix shape %dx%d", rows, cols))
+	}
+	return &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
+}
+
+// ToMatrix32 converts m by rounding every element to float32 — the one-time
+// weight conversion a float32 session performs at start.
+func ToMatrix32(m *Matrix) *Matrix32 {
+	out := NewMatrix32(m.Rows, m.Cols)
+	for i, v := range m.Data {
+		out.Data[i] = float32(v)
+	}
+	return out
+}
+
+// Kernels is one precision's batched kernel set: the generic kernels below,
+// bound to that precision's AVX2 entry points (batch_asm_amd64.go), which
+// take over only while useAVX2 holds.
+type Kernels[F Float] struct {
+	spmmOnes4, spmmOnes8, spmmOnes16 func(dst []F, rowptr, cols []int32, x []F, rows, stride, off int)
+	matMul8                          func(dst, x, w []F, rows, blocks, din, xStride, dstStride int)
+	// matMulHead is the dout=1 projection for din%8 == 0, or nil when the
+	// head keeps the scalar kernel: its single accumulator chain cannot
+	// vectorize without reassociating, and in float64 the order is
+	// contractual.
+	matMulHead func(dst, x, w []F, rows, blocks, din, xStride, dstStride int)
+	addReLU    func(dst, a []F)
+}
+
+var (
+	// F64 is the float64 kernel set. Its AVX2 kernels round every multiply
+	// and add separately in the scalar order, so it is bit-identical with or
+	// without them.
+	F64 = &Kernels[float64]{
+		spmmOnes4:  spmmCSROnes4F64AVX2,
+		spmmOnes8:  spmmCSROnes8F64AVX2,
+		spmmOnes16: spmmCSROnes16F64AVX2,
+		matMul8:    matMulBlocksF64AVX2,
+		addReLU:    addReLUInto64AVX2,
+	}
+	// F32 is the float32 kernel set. Its AVX2 projections fuse multiply-adds
+	// (one rounding instead of two), which the float32 tolerance contract
+	// allows, and add the dout=1 head.
+	F32 = &Kernels[float32]{
+		spmmOnes4:  spmmCSROnes4F32AVX2,
+		spmmOnes8:  spmmCSROnes8F32AVX2,
+		spmmOnes16: spmmCSROnes16F32AVX2,
+		matMul8:    matMulBlocksF32AVX2,
+		matMulHead: matMulHeadF32AVX2,
+		addReLU:    addReLUInto32AVX2,
+	}
+)
+
+// SpMMBatchInto is F64.SpMMBatchInto over Matrix operands.
+func SpMMBatchInto(dst *Matrix, graphs []*CSR, x *Matrix) {
+	F64.SpMMBatchInto((*Dense[float64])(dst), graphs, (*Dense[float64])(x))
+}
+
+// MatMulBlocksInto is F64.MatMulBlocksInto over Matrix operands.
+func MatMulBlocksInto(dst, x, w *Matrix, blocks int) {
+	F64.MatMulBlocksInto((*Dense[float64])(dst), (*Dense[float64])(x), (*Dense[float64])(w), blocks)
+}
+
+// AddReLUInto is F64.AddReLUInto.
+func AddReLUInto(dst, a []float64) { F64.AddReLUInto(dst, a) }
+
+// SpMMBatchInto32 is F32.SpMMBatchInto.
+func SpMMBatchInto32(dst *Matrix32, graphs []*CSR, x *Matrix32) { F32.SpMMBatchInto(dst, graphs, x) }
+
+// MatMulBlocksInto32 is F32.MatMulBlocksInto.
+func MatMulBlocksInto32(dst, x, w *Matrix32, blocks int) { F32.MatMulBlocksInto(dst, x, w, blocks) }
+
+// AddReLUInto32 is F32.AddReLUInto.
+func AddReLUInto32(dst, a []float32) { F32.AddReLUInto(dst, a) }
+
+// forRowBlocks runs body over rows [0, rows): on the calling goroutine, or
+// split into contiguous row blocks over the worker pool when the
+// multiply-add count work clears cutoff. Each block owns disjoint output
+// rows, so results are bit-identical for every worker count.
+func forRowBlocks(rows, work, cutoff int, body func(lo, hi int)) {
+	workers := min(parallel.Limit(), rows)
+	if workers <= 1 || work < cutoff {
+		body(0, rows)
+		return
+	}
+	chunk := (rows + workers - 1) / workers
+	parallel.ForEachN((rows+chunk-1)/chunk, workers, func(b int) {
+		lo := b * chunk
+		body(lo, min(lo+chunk, rows))
+	})
+}
 
 // SpMMBatchInto computes, for each block b, graphs[b]·x[:, b·d:(b+1)·d] into
 // the same column block of dst, where d = x.Cols/len(graphs). Every graph
-// must be square with x.Rows rows. dst is fully overwritten. Rows are
-// processed in contiguous blocks over the worker pool when the total
-// multiply-add work clears spmmParallelCutoff; each block owns disjoint dst
-// rows, so the result is bit-identical for every worker count.
-func SpMMBatchInto(dst *Matrix, graphs []*CSR, x *Matrix) {
+// must be square with x.Rows rows. dst is fully overwritten. Rows fan out
+// over the worker pool when the total multiply-add work clears
+// spmmParallelCutoff. The CSR values stay float64 (adjacencies are
+// implicit-ones patterns, so the graph side loses nothing in float32).
+func (k *Kernels[F]) SpMMBatchInto(dst *Dense[F], graphs []*CSR, x *Dense[F]) {
 	nb := len(graphs)
 	if nb == 0 || x.Cols%nb != 0 {
 		panic(fmt.Sprintf("tensor: SpMMBatchInto %d blocks over %d columns", nb, x.Cols))
@@ -43,29 +157,36 @@ func SpMMBatchInto(dst *Matrix, graphs []*CSR, x *Matrix) {
 	}
 	// Block-outer, row-inner: processing one graph's column block across all
 	// rows before moving to the next keeps that block's gathered x rows (a
-	// ~d·8·rows byte footprint) cache-resident, where a row-outer loop cycles
-	// the entire wide matrix once per row. Blocks write disjoint dst columns
-	// and each output element still accumulates its neighbors in ascending
-	// order, so the interchange is invisible in the bits.
-	rowRange := func(lo, hi int) {
+	// ~d·sizeof(F)·rows byte footprint) cache-resident, where a row-outer
+	// loop cycles the entire wide matrix once per row. Blocks write disjoint
+	// dst columns and each output element still accumulates its neighbors in
+	// ascending order, so the interchange is invisible in the bits.
+	forRowBlocks(x.Rows, work, spmmParallelCutoff, func(lo, hi int) {
 		for b, g := range graphs {
 			off := b * d
 			if g.Val == nil {
 				// Implicit-ones adjacency — the occlusion hot path. The width
-				// specializations accumulate each output column in register,
-				// in the same ascending-neighbor order as the generic loop,
-				// so results stay bit-identical; they also write (not add
-				// into) the output, making a zero pass redundant. On CPUs
-				// with AVX2 the vector kernels take over — still one
-				// ascending-order accumulator chain per column, so still
-				// bit-identical (see batch_asm_amd64.go).
+				// specializations accumulate each output column in register, in
+				// the same ascending-neighbor order as the generic loop, so
+				// results stay bit-identical; they also write (not add into) the
+				// output, making a zero pass redundant. On CPUs with AVX2 the
+				// vector kernels take over — still one ascending-order
+				// accumulator chain per column, so still bit-identical.
 				switch {
 				case useAVX2 && d == 4:
-					spmmCSROnes4F64AVX2(dst.Data[lo*x.Cols+off:], g.RowPtr[lo:hi+1], g.Col, x.Data, hi-lo, x.Cols, off)
+					k.spmmOnes4(dst.Data[lo*x.Cols+off:], g.RowPtr[lo:hi+1], g.Col, x.Data, hi-lo, x.Cols, off)
 				case useAVX2 && d == 8:
-					spmmCSROnes8F64AVX2(dst.Data[lo*x.Cols+off:], g.RowPtr[lo:hi+1], g.Col, x.Data, hi-lo, x.Cols, off)
+					k.spmmOnes8(dst.Data[lo*x.Cols+off:], g.RowPtr[lo:hi+1], g.Col, x.Data, hi-lo, x.Cols, off)
 				case useAVX2 && d == 16:
-					spmmCSROnes16F64AVX2(dst.Data[lo*x.Cols+off:], g.RowPtr[lo:hi+1], g.Col, x.Data, hi-lo, x.Cols, off)
+					k.spmmOnes16(dst.Data[lo*x.Cols+off:], g.RowPtr[lo:hi+1], g.Col, x.Data, hi-lo, x.Cols, off)
+				case d == 1:
+					for i := lo; i < hi; i++ {
+						var acc F
+						for _, c := range g.Col[g.RowPtr[i]:g.RowPtr[i+1]] {
+							acc += x.Data[int(c)*x.Cols+off]
+						}
+						dst.Data[i*x.Cols+off] = acc
+					}
 				case d == 4:
 					for i := lo; i < hi; i++ {
 						spmmRowOnes4(dst.Data[i*x.Cols+off:], g.Col[g.RowPtr[i]:g.RowPtr[i+1]], x.Data, x.Cols, off)
@@ -111,30 +232,14 @@ func SpMMBatchInto(dst *Matrix, graphs []*CSR, x *Matrix) {
 						}
 						continue
 					}
+					fv := F(v)
 					for j, xv := range xb {
-						ob[j] += v * xv
+						ob[j] += fv * xv
 					}
 				}
 			}
 		}
-	}
-	if workers := parallel.Limit(); workers > 1 && work >= spmmParallelCutoff && x.Rows > 1 {
-		if workers > x.Rows {
-			workers = x.Rows
-		}
-		chunk := (x.Rows + workers - 1) / workers
-		blocks := (x.Rows + chunk - 1) / chunk
-		parallel.ForEachN(blocks, workers, func(b int) {
-			lo := b * chunk
-			hi := lo + chunk
-			if hi > x.Rows {
-				hi = x.Rows
-			}
-			rowRange(lo, hi)
-		})
-		return
-	}
-	rowRange(0, x.Rows)
+	})
 }
 
 // matMulBlocksParallelCutoff is the multiply-add count above which
@@ -147,8 +252,9 @@ const matMulBlocksParallelCutoff = 1 << 18
 // column block of the target-major batch x (rows×(K·din)), writing the
 // rows×(K·dout) result into dst. Per block this replicates MatMulInto's ikj
 // loop order — including the mv==0 row skip — so each column block of the
-// result is bit-identical to MatMulInto on that block alone.
-func MatMulBlocksInto(dst, x, w *Matrix, blocks int) {
+// result is bit-identical to MatMulInto on that block alone (float64; the
+// float32 AVX2 kernels fuse multiply-adds).
+func (k *Kernels[F]) MatMulBlocksInto(dst, x, w *Dense[F], blocks int) {
 	din, dout := w.Rows, w.Cols
 	if blocks <= 0 || x.Cols != blocks*din {
 		panic(fmt.Sprintf("tensor: MatMulBlocksInto %d blocks of %d over %d columns", blocks, din, x.Cols))
@@ -156,15 +262,16 @@ func MatMulBlocksInto(dst, x, w *Matrix, blocks int) {
 	if dst.Rows != x.Rows || dst.Cols != blocks*dout {
 		panic(fmt.Sprintf("tensor: MatMulBlocksInto dst %dx%d for %dx%d result", dst.Rows, dst.Cols, x.Rows, blocks*dout))
 	}
-	rowRange := func(lo, hi int) {
-		// The AVX2 dout=8 kernel multiplies and adds with the scalar path's
-		// per-column rounding and order (no FMA), so it stays bit-identical;
-		// the dout=1 head keeps the scalar kernel — its single accumulator
-		// chain cannot vectorize without reassociating, and in float64 the
-		// order is contractual.
-		if useAVX2 && dout == 8 && hi > lo {
-			matMulBlocksF64AVX2(dst.Data[lo*dst.Cols:], x.Data[lo*x.Cols:], w.Data, hi-lo, blocks, din, x.Cols, dst.Cols)
-			return
+	forRowBlocks(x.Rows, x.Rows*x.Cols*dout, matMulBlocksParallelCutoff, func(lo, hi int) {
+		if useAVX2 && hi > lo {
+			switch {
+			case dout == 8:
+				k.matMul8(dst.Data[lo*dst.Cols:], x.Data[lo*x.Cols:], w.Data, hi-lo, blocks, din, x.Cols, dst.Cols)
+				return
+			case dout == 1 && din%8 == 0 && k.matMulHead != nil:
+				k.matMulHead(dst.Data[lo*dst.Cols:], x.Data[lo*x.Cols:], w.Data, hi-lo, blocks, din, x.Cols, dst.Cols)
+				return
+			}
 		}
 		for i := lo; i < hi; i++ {
 			xRow := x.Data[i*x.Cols : (i+1)*x.Cols]
@@ -202,33 +309,15 @@ func MatMulBlocksInto(dst, x, w *Matrix, blocks int) {
 				}
 			}
 		}
-	}
-	work := x.Rows * x.Cols * dout
-	if workers := parallel.Limit(); workers > 1 && work >= matMulBlocksParallelCutoff && x.Rows > 1 {
-		if workers > x.Rows {
-			workers = x.Rows
-		}
-		chunk := (x.Rows + workers - 1) / workers
-		nblk := (x.Rows + chunk - 1) / chunk
-		parallel.ForEachN(nblk, workers, func(b int) {
-			lo := b * chunk
-			hi := lo + chunk
-			if hi > x.Rows {
-				hi = x.Rows
-			}
-			rowRange(lo, hi)
-		})
-		return
-	}
-	rowRange(0, x.Rows)
+	})
 }
 
 // spmmRowOnes4/8/16 accumulate Σ_{c∈cols} x[c, off:off+d] into ob for an
 // implicit-ones CSR row, holding every partial sum in a register. stride is
 // x's row stride (total batch width). Neighbor order — and therefore
 // floating-point accumulation order — matches the generic loop exactly.
-func spmmRowOnes4(ob []float64, cols []int32, x []float64, stride, off int) {
-	var a0, a1, a2, a3 float64
+func spmmRowOnes4[F Float](ob []F, cols []int32, x []F, stride, off int) {
+	var a0, a1, a2, a3 F
 	for _, c := range cols {
 		xb := x[int(c)*stride+off:]
 		xb = xb[:4:4]
@@ -240,8 +329,8 @@ func spmmRowOnes4(ob []float64, cols []int32, x []float64, stride, off int) {
 	ob[0], ob[1], ob[2], ob[3] = a0, a1, a2, a3
 }
 
-func spmmRowOnes8(ob []float64, cols []int32, x []float64, stride, off int) {
-	var a0, a1, a2, a3, a4, a5, a6, a7 float64
+func spmmRowOnes8[F Float](ob []F, cols []int32, x []F, stride, off int) {
+	var a0, a1, a2, a3, a4, a5, a6, a7 F
 	for _, c := range cols {
 		xb := x[int(c)*stride+off:]
 		xb = xb[:8:8]
@@ -258,9 +347,9 @@ func spmmRowOnes8(ob []float64, cols []int32, x []float64, stride, off int) {
 	ob[4], ob[5], ob[6], ob[7] = a4, a5, a6, a7
 }
 
-func spmmRowOnes16(ob []float64, cols []int32, x []float64, stride, off int) {
-	var a0, a1, a2, a3, a4, a5, a6, a7 float64
-	var a8, a9, a10, a11, a12, a13, a14, a15 float64
+func spmmRowOnes16[F Float](ob []F, cols []int32, x []F, stride, off int) {
+	var a0, a1, a2, a3, a4, a5, a6, a7 F
+	var a8, a9, a10, a11, a12, a13, a14, a15 F
 	for _, c := range cols {
 		xb := x[int(c)*stride+off:]
 		xb = xb[:16:16]
@@ -290,8 +379,8 @@ func spmmRowOnes16(ob []float64, cols []int32, x []float64, stride, off int) {
 // matMulRow8 computes ob = xb·w for one row block with dout=8, partial sums
 // in registers, k ascending with the mv==0 skip — bit-identical to the
 // generic path.
-func matMulRow8(ob []float64, xb []float64, w []float64) {
-	var a0, a1, a2, a3, a4, a5, a6, a7 float64
+func matMulRow8[F Float](ob []F, xb []F, w []F) {
+	var a0, a1, a2, a3, a4, a5, a6, a7 F
 	for k, mv := range xb {
 		if mv == 0 {
 			continue
@@ -313,8 +402,8 @@ func matMulRow8(ob []float64, xb []float64, w []float64) {
 
 // matMulRow1 is the dout=1 head: a plain register dot product with the same
 // skip and order.
-func matMulRow1(xb []float64, w []float64) float64 {
-	var acc float64
+func matMulRow1[F Float](xb []F, w []F) F {
+	var acc F
 	for k, mv := range xb {
 		if mv == 0 {
 			continue
@@ -328,12 +417,12 @@ func matMulRow1(xb []float64, w []float64) float64 {
 // over whole backing slices. The AVX2 path keeps the scalar branch's exact
 // semantics — negatives clamp to +0, while −0 and NaN sums pass through — so
 // it is bit-identical to the portable loop.
-func AddReLUInto(dst, a []float64) {
+func (k *Kernels[F]) AddReLUInto(dst, a []F) {
 	if len(dst) != len(a) {
 		panic(fmt.Sprintf("tensor: AddReLUInto %d vs %d elements", len(dst), len(a)))
 	}
 	if useAVX2 {
-		addReLUInto64AVX2(dst, a)
+		k.addReLU(dst, a)
 		return
 	}
 	for i, v := range a {

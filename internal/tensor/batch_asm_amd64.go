@@ -1,8 +1,9 @@
 package tensor
 
-// AVX2 row kernels behind the useAVX2 dispatch in SpMMBatchInto{,32} and
-// MatMulBlocksInto{,32}, implemented in batch_amd64.s. Contracts mirror the
-// portable Go kernels they replace:
+// AVX2 row kernels behind the useAVX2 dispatch of the F64 and F32 kernel
+// sets (Kernels.SpMMBatchInto, MatMulBlocksInto and AddReLUInto),
+// implemented in batch_amd64.s. Contracts mirror the portable Go kernels
+// they replace (FuzzBatchKernels checks both):
 //
 //   - The float64 pair keeps multiplies and adds as separate, individually
 //     rounded instructions in the exact scalar order (k ascending / neighbor

@@ -3,8 +3,6 @@ package tensor
 import (
 	"fmt"
 	"sync"
-
-	"after/internal/parallel"
 )
 
 // CSR is a compressed-sparse-row matrix: the sparse counterpart of Matrix
@@ -201,7 +199,7 @@ func SpMMInto(dst *Matrix, a *CSR, x *Matrix) {
 		panic(fmt.Sprintf("tensor: SpMMInto dst %dx%d for %dx%d result", dst.Rows, dst.Cols, a.Rows, x.Cols))
 	}
 	d := x.Cols
-	rowRange := func(lo, hi int) {
+	forRowBlocks(a.Rows, a.NNZ()*d, spmmParallelCutoff, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			outRow := dst.Data[i*d : (i+1)*d]
 			for j := range outRow {
@@ -224,25 +222,7 @@ func SpMMInto(dst *Matrix, a *CSR, x *Matrix) {
 				}
 			}
 		}
-	}
-	work := a.NNZ() * d
-	if workers := parallel.Limit(); workers > 1 && work >= spmmParallelCutoff && a.Rows > 1 {
-		if workers > a.Rows {
-			workers = a.Rows
-		}
-		chunk := (a.Rows + workers - 1) / workers
-		blocks := (a.Rows + chunk - 1) / chunk
-		parallel.ForEachN(blocks, workers, func(b int) {
-			lo := b * chunk
-			hi := lo + chunk
-			if hi > a.Rows {
-				hi = a.Rows
-			}
-			rowRange(lo, hi)
-		})
-		return
-	}
-	rowRange(0, a.Rows)
+	})
 }
 
 // SpMMT returns the autodiff node for a·x with a constant sparse a: the
