@@ -168,13 +168,27 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	deadline := time.Duration(body.DeadlineMs * float64(time.Millisecond))
-	res, err := s.Recommend(r.Context(), r.PathValue("id"), body.Target, deadline)
+	res, err := s.Recommend(r.Context(), r.PathValue("id"), body.Target, msDuration(body.DeadlineMs, s.cfg.MaxDeadline))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
+}
+
+// msDuration converts a client's millisecond budget to a Duration in
+// [0, max]; 0 asks for the default. It clamps in floating point first:
+// converting a float beyond the int64 range is implementation-defined
+// (math.MinInt64 on amd64), which would turn a huge budget into the default
+// deadline instead of max.
+func msDuration(ms float64, max time.Duration) time.Duration {
+	switch d := ms * float64(time.Millisecond); {
+	case d >= float64(max):
+		return max
+	case d > 0:
+		return time.Duration(d)
+	}
+	return 0
 }
 
 func decodeJSON(r *http.Request, v any) error {

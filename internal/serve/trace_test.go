@@ -289,6 +289,55 @@ func TestWideEventShedKept(t *testing.T) {
 	}
 }
 
+// TestHugeDeadlineClampsToMax: a deadline_ms past the int64 nanosecond range
+// is served at MaxDeadline, not at the 50ms default an out-of-range float
+// conversion would produce.
+func TestHugeDeadlineClampsToMax(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "access.jsonl")
+	w, err := wide.Open(path, wide.Options{SampleN: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Primary: testRec{name: "test"}, AccessLog: w})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	mustCreate(t, s, RoomSpec{Name: "r", Users: 8})
+	mustFrame(t, s, "r", 0, framePos(8, 0))
+	for _, ms := range []string{"1e13", "1e300"} {
+		resp, err := http.Post(ts.URL+"/v1/rooms/r/recommend", "application/json",
+			strings.NewReader(`{"target":1,"deadline_ms":`+ms+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("deadline_ms %s: status %d", ms, resp.StatusCode)
+		}
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("wide events: %d, want 2\n%s", len(lines), data)
+	}
+	wantMs := float64(s.cfg.MaxDeadline) / float64(time.Millisecond)
+	for _, line := range lines {
+		var ev wideEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.DeadlineMs != wantMs {
+			t.Fatalf("served deadline %vms, want MaxDeadline %vms", ev.DeadlineMs, wantMs)
+		}
+	}
+}
+
 // TestBatchSpanLinksMemberRequests is the tentpole acceptance test: N
 // concurrent requests coalesce into ONE fused batch, and the exported trace
 // must contain one serve.batch span with a cross-goroutine link from every

@@ -268,17 +268,11 @@ func Evaluate(recs []Recommender, room *dataset.Room, targets []int, beta float6
 
 // DefaultTargets picks up to k well-spread target users for evaluation: the
 // harness follows several targets and averages, since single-target traces
-// are noisy.
+// are noisy. k ≤ 0 picks one; k beyond the room picks every user.
 func DefaultTargets(room *dataset.Room, k int) []int {
-	if k <= 0 || k > room.N {
-		k = 1
-	}
+	k = min(max(k, 1), room.N)
 	targets := make([]int, 0, k)
-	stride := room.N / k
-	if stride == 0 {
-		stride = 1
-	}
-	for i := 0; i < room.N && len(targets) < k; i += stride {
+	for i := 0; len(targets) < k; i += room.N / k {
 		targets = append(targets, i)
 	}
 	return targets

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -133,8 +134,8 @@ func TestDefaultTargets(t *testing.T) {
 	if got := DefaultTargets(rm, 0); len(got) != 1 {
 		t.Errorf("k=0 targets = %v", got)
 	}
-	if got := DefaultTargets(rm, 1000); len(got) != 1 {
-		t.Errorf("oversized k targets = %v", got)
+	if got := DefaultTargets(&dataset.Room{N: 5}, 8); !slices.Equal(got, []int{0, 1, 2, 3, 4}) {
+		t.Errorf("k=8 on a 5-user room: targets = %v, want every user", got)
 	}
 }
 
