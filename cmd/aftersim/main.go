@@ -70,11 +70,6 @@ import (
 	"after/internal/parallel"
 )
 
-// profiler is the run's continuous profiler (nil with -prof=false or
-// -obs=false; every method is nil-safe). Package-level so runBench can
-// snapshot the current aggregate for regression attribution.
-var profiler *prof.Profiler
-
 // main defers to realMain so the profile/trace-flushing defers run before
 // the process exits (os.Exit would skip them).
 func main() { os.Exit(realMain()) }
@@ -95,7 +90,7 @@ func realMain() int {
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /quality on this address (e.g. :6060)")
 		tracePath  = flag.String("trace", "", "capture the span stream as Chrome trace-event JSON to this file")
 		curvePath  = flag.String("traincurve", "", "append per-epoch training-curve records (JSONL) to this file")
-		profOn     = flag.Bool("prof", true, "continuous profiling: windowed CPU profiles with (room, rec, phase) labels; writes PROF_<exp>.json per experiment (requires -obs)")
+		profOn     = flag.Bool("prof", true, "continuous profiling: windowed CPU profiles with (room, rec, phase) labels; writes PROF_<exp>.json and the last raw window as cpu_<exp>.pb.gz per experiment (requires -obs)")
 		profWindow = flag.Duration("prof-window", 10*time.Second, "continuous-profiling window length")
 		mutexFrac  = flag.Int("mutexprofile", 0, "runtime.SetMutexProfileFraction: sample 1-in-N mutex contention events into /debug/pprof/mutex (0 off)")
 		blockRate  = flag.Int("blockprofile", 0, "runtime.SetBlockProfileRate: sample blocking events >= N ns into /debug/pprof/block (0 off)")
@@ -172,6 +167,9 @@ func realMain() int {
 	// The continuous profiler starts after a -cpuprofile (if any) has claimed
 	// the process's single CPU-profile slot: the explicit whole-run profile
 	// wins, and the continuous loop counts skipped windows instead of failing.
+	// profiler stays nil with -prof=false or -obs=false; every method is
+	// nil-safe.
+	var profiler *prof.Profiler
 	if *profOn && recordObs {
 		profiler = prof.Start(prof.Options{Window: *profWindow})
 		defer profiler.Stop()
@@ -313,8 +311,12 @@ func realMain() int {
 		}
 		start := time.Now()
 		out, err := run(opts)
+		// Fold the live window first, so a run that trips a gate still
+		// reports where its CPU went and leaves its last raw window.
+		profiler.Rotate()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "aftersim: %s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "aftersim: %s: %v\n%s", id, err, prof.FormatPhases(profiler.Snapshot()))
+			writeLastWindow(profiler, id)
 			return 1
 		}
 		fmt.Println(out)
@@ -332,15 +334,15 @@ func realMain() int {
 			fmt.Printf("wrote %s\n", obsPath)
 		}
 		if profiler != nil {
-			profiler.Rotate() // fold the live window before snapshotting
 			profPath := "PROF_" + id + ".json"
 			if err := profiler.WriteJSON(profPath); err != nil {
 				fmt.Fprintf(os.Stderr, "aftersim: %s: %v\n", id, err)
 				return 1
 			}
 			snap := profiler.Snapshot()
-			fmt.Printf("wrote %s (%.2fs CPU sampled, %.0f%% labeled)\n",
-				profPath, snap.CPUSeconds, 100*snap.LabeledFraction)
+			fmt.Printf("wrote %s (%.2fs CPU sampled, %.0f%% labeled)\n%s",
+				profPath, snap.CPUSeconds, 100*snap.LabeledFraction, prof.FormatPhases(snap))
+			writeLastWindow(profiler, id)
 		}
 		if expQuality {
 			snap := quality.Default().Snapshot()
@@ -362,6 +364,16 @@ func realMain() int {
 		fmt.Printf("(%s regenerated in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
+}
+
+// writeLastWindow writes the experiment's last raw CPU window as
+// cpu_<id>.pb.gz for `go tool pprof`. Best-effort: a -cpuprofile run owns
+// the profile slot and leaves no window.
+func writeLastWindow(p *prof.Profiler, id string) {
+	path := "cpu_" + id + ".pb.gz"
+	if p.WriteLastProfile(path) == nil {
+		fmt.Printf("wrote %s\n", path)
+	}
 }
 
 // qualityGate compares the run's oracle-regret rates against a checked-in
@@ -425,14 +437,6 @@ func runBench(o exp.Options) (string, error) {
 	}
 	out := r.Format() + "wrote " + path
 	if path != "BENCH_latest.json" {
-		// The baseline run also claims the profile baseline, so a later
-		// regressing run has symbol-level CPU shares to diff against.
-		if profiler != nil {
-			profiler.Rotate()
-			if err := profiler.WriteJSON("PROF_baseline.json"); err == nil {
-				out += "\nwrote PROF_baseline.json (profile baseline for regression attribution)"
-			}
-		}
 		return out, nil
 	}
 	base, err := exp.ReadBenchReport("BENCH_baseline.json")
@@ -446,44 +450,12 @@ func runBench(o exp.Options) (string, error) {
 	}
 	msg := "bench compare: per-step latency regressions vs BENCH_baseline.json:\n  " +
 		strings.Join(regs, "\n  ")
-	// Perf-regression attribution: when a profile baseline exists, diff its
-	// top symbols against this run's aggregate so the gate names the code
-	// that got slower, not just the recommender row that tripped.
-	if attr := benchAttribution(); attr != "" {
-		msg += "\n" + attr
-	}
 	if runtime.NumCPU() == 1 {
 		// 1-vCPU runners (the baseline machine class) are too noisy for a
 		// hard gate; surface the regression but do not fail.
 		return out + "\nWARNING (advisory on 1 vCPU): " + msg, nil
 	}
 	return "", fmt.Errorf("%s", msg)
-}
-
-// benchAttribution renders the symbol-level CPU diff between
-// PROF_baseline.json and the live profiler aggregate, or "" when either side
-// is missing (no profiler, no baseline, or a run whose every window was
-// skipped by an explicit -cpuprofile owning the profile slot).
-func benchAttribution() string {
-	if profiler == nil {
-		return ""
-	}
-	data, err := os.ReadFile("PROF_baseline.json")
-	if err != nil {
-		return ""
-	}
-	var base prof.Summary
-	if err := json.Unmarshal(data, &base); err != nil {
-		return ""
-	}
-	profiler.Rotate()
-	cur := profiler.Snapshot()
-	if base.CPUSeconds <= 0 || cur.CPUSeconds <= 0 {
-		return ""
-	}
-	return "perf attribution (PROF_baseline.json vs this run):\n" +
-		prof.FormatDiff(base, cur, 15) +
-		"current per-phase attribution:\n" + prof.FormatPhases(cur)
 }
 
 // runServe measures the serving daemon under open-loop load, persists

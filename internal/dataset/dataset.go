@@ -69,6 +69,9 @@ type Config struct {
 	Seed int64
 }
 
+// DefaultT is the paper-scale trajectory length a zero Config.T stands for.
+const DefaultT = 100
+
 func (c Config) withDefaults() Config {
 	switch c.Kind {
 	case Hubs:
@@ -93,7 +96,7 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	if c.T == 0 {
-		c.T = 100
+		c.T = DefaultT
 	}
 	if c.VRFraction == 0 {
 		c.VRFraction = 0.5
@@ -187,6 +190,10 @@ func Generate(cfg Config) (*Room, error) {
 	}
 	if cfg.RoomUsers < 2 {
 		return nil, fmt.Errorf("dataset: need at least 2 room users, got %d", cfg.RoomUsers)
+	}
+	// Written so that NaN fails too.
+	if !(cfg.VRFraction >= 0 && cfg.VRFraction <= 1) {
+		return nil, fmt.Errorf("dataset: VR fraction %v outside [0, 1]", cfg.VRFraction)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 

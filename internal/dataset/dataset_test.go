@@ -209,6 +209,11 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := Generate(Config{Kind: Timik, PlatformUsers: 10, RoomUsers: 1, T: 2}); err == nil {
 		t.Error("single-user room not rejected")
 	}
+	for _, vr := range []float64{2, -0.5, 1.0001, math.NaN()} {
+		if _, err := Generate(Config{Kind: Timik, PlatformUsers: 60, RoomUsers: 40, T: 2, VRFraction: vr}); err == nil {
+			t.Errorf("VR fraction %v not rejected", vr)
+		}
+	}
 }
 
 func TestRoundTripSerialization(t *testing.T) {

@@ -51,7 +51,13 @@ func (d *diskRoom) validate() error {
 	if len(d.Interests) != d.N {
 		return fmt.Errorf("%d interest vectors for %d users", len(d.Interests), d.N)
 	}
+	if len(d.Interests[0]) == 0 {
+		return fmt.Errorf("empty interest vectors")
+	}
 	for u, vec := range d.Interests {
+		if len(vec) != len(d.Interests[0]) {
+			return fmt.Errorf("interest[%d] has %d dims, interest[0] %d", u, len(vec), len(d.Interests[0]))
+		}
 		for k, v := range vec {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("interest[%d][%d]=%v not finite", u, k, v)

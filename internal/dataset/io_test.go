@@ -74,6 +74,8 @@ func TestReadRoomRejectsCorruptFields(t *testing.T) {
 		{"edge-nan-weight", func(d *diskRoom) { d.Edges[0].W = math.NaN() }, "not finite"},
 		{"interest-count", func(d *diskRoom) { d.Interests = d.Interests[:1] }, "interest"},
 		{"interest-inf", func(d *diskRoom) { d.Interests[1][0] = math.Inf(1) }, "not finite"},
+		{"interest-ragged", func(d *diskRoom) { d.Interests[2] = []float64{0.3, 0.4} }, "dims"},
+		{"interest-empty", func(d *diskRoom) { d.Interests = [][]float64{{}, {}, {}} }, "empty interest"},
 		{"interface-count", func(d *diskRoom) { d.Interfaces = d.Interfaces[:1] }, "interfaces"},
 		{"empty-trajectory", func(d *diskRoom) { d.Positions = nil }, "empty trajectory"},
 		{"short-trajectory-row", func(d *diskRoom) { d.Positions[2] = d.Positions[2][:1] }, "covers"},

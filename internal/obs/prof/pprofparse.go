@@ -3,9 +3,10 @@ package prof
 // A minimal reader for the pprof profile.proto wire format, written against
 // the protobuf wire spec directly — the repo is zero-dependency, so it cannot
 // import github.com/google/pprof/profile. Only the fields the continuous
-// profiler needs are decoded: sample types, samples (stacks, values, string
-// labels), locations, functions, and the string table. Mappings, line
-// numbers, and numeric labels are skipped.
+// profiler's label fold and the label-propagation tests need are decoded:
+// sample types, samples (stacks, values, string labels), locations,
+// functions, and the string table. Mappings, line numbers, and numeric
+// labels are skipped.
 //
 // Wire format refresher (proto3): a message is a sequence of
 // (tag, payload) pairs where tag = field_number<<3 | wire_type. Wire types:

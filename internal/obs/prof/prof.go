@@ -1,10 +1,10 @@
 // Package prof is the repo's zero-dependency continuous-profiling layer: a
 // pprof goroutine-label fabric that attributes CPU samples to the same
 // (room, recommender, phase) coordinates the span tracer names, a windowed
-// always-on CPU/heap profiler that folds those samples into per-label
-// CPU-seconds, a runtime health collector riding runtime/metrics, and a stall
-// watchdog that dumps incident bundles when a batch blows through a multiple
-// of its deadline.
+// always-on CPU profiler that folds those samples into per-label CPU-seconds
+// and keeps the last raw window for `go tool pprof`, a runtime health
+// collector riding runtime/metrics, and a stall watchdog that dumps incident
+// bundles when a batch blows through a multiple of its deadline.
 //
 // Like obs and obs/quality, the package is opt-in-cheap: every label
 // application is gated behind one package-level atomic flag, so with the flag
@@ -39,8 +39,9 @@ func On() bool { return enabled.Load() }
 func SetEnabled(on bool) bool { return enabled.Swap(on) }
 
 // Phase identifies one stage of the POSHGNN serving/simulation path. The
-// names match the span tracer's phase spans exactly, so a flamegraph keyed on
-// the phase label and a Chrome trace keyed on span names tell the same story.
+// names match the span tracer's phase spans exactly, so a profile focused on
+// one phase label (`go tool pprof -tagfocus=phase=pdr`) and a Chrome trace
+// keyed on span names tell the same story.
 type Phase uint8
 
 const (

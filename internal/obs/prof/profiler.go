@@ -23,11 +23,6 @@ type Options struct {
 	// enable gate, so profiling can run with metrics off and still produce
 	// PROF_<exp>.json summaries.
 	Registry *obs.Registry
-	// TopN bounds the per-summary flat/cumulative symbol tables; default 25.
-	TopN int
-	// MaxStacks bounds the collapsed-stack table kept for flamegraph
-	// rendering; default 150 (pruned by weight).
-	MaxStacks int
 }
 
 func (o Options) withDefaults() Options {
@@ -37,41 +32,12 @@ func (o Options) withDefaults() Options {
 	if o.Registry == nil {
 		o.Registry = obs.Default()
 	}
-	if o.TopN <= 0 {
-		o.TopN = 25
-	}
-	if o.MaxStacks <= 0 {
-		o.MaxStacks = 150
-	}
 	return o
 }
 
-// Symbol is one function's share of sampled CPU.
-type Symbol struct {
-	Name        string  `json:"name"`
-	FlatSeconds float64 `json:"flat_s"`
-	CumSeconds  float64 `json:"cum_s"`
-}
-
-// StackSeconds is one collapsed (root-first, ";"-joined) stack's sampled CPU.
-type StackSeconds struct {
-	Stack   string  `json:"stack"`
-	Seconds float64 `json:"s"`
-}
-
-// HeapSymbol is one function's heap activity over the profiled interval:
-// allocation deltas between the first and last heap snapshots plus live
-// in-use bytes at the last snapshot. Heap profiles carry no goroutine labels
-// (a runtime limitation), so heap attribution is per-symbol only.
-type HeapSymbol struct {
-	Name         string `json:"name"`
-	AllocBytes   int64  `json:"alloc_bytes"`
-	AllocObjects int64  `json:"alloc_objects"`
-	InuseBytes   int64  `json:"inuse_bytes"`
-}
-
-// Summary is the aggregated profile view written to PROF_<exp>.json and
-// rendered by the report's flamegraph section.
+// Summary is the per-label CPU attribution written to PROF_<exp>.json and
+// rendered by the report's continuous-profiling section. Symbol-level views
+// (top, flame, diff) are `go tool pprof`'s job on the raw windows.
 type Summary struct {
 	Timestamp       string             `json:"timestamp"`
 	WindowSeconds   float64            `json:"window_s"`
@@ -83,9 +49,6 @@ type Summary struct {
 	ByPhase         map[string]float64 `json:"by_phase,omitempty"`
 	ByRec           map[string]float64 `json:"by_rec,omitempty"`
 	ByRoom          map[string]float64 `json:"by_room,omitempty"`
-	TopFlat         []Symbol           `json:"top_flat,omitempty"`
-	Stacks          []StackSeconds     `json:"stacks,omitempty"`
-	HeapTop         []HeapSymbol       `json:"heap_top,omitempty"`
 }
 
 // aggregate is the profiler's running fold over finished windows. All ns.
@@ -95,15 +58,6 @@ type aggregate struct {
 	byPhase          map[string]int64
 	byRec            map[string]int64
 	byRoom           map[string]int64
-	flat             map[string]int64
-	cum              map[string]int64
-	stacks           map[string]int64
-	heapBase         map[string]heapCounts // cumulative allocs at interval start
-	heapCur          map[string]heapCounts // cumulative allocs at last snapshot
-}
-
-type heapCounts struct {
-	allocBytes, allocObjects, inuseBytes int64
 }
 
 func newAggregate() aggregate {
@@ -111,9 +65,6 @@ func newAggregate() aggregate {
 		byPhase: map[string]int64{},
 		byRec:   map[string]int64{},
 		byRoom:  map[string]int64{},
-		flat:    map[string]int64{},
-		cum:     map[string]int64{},
-		stacks:  map[string]int64{},
 	}
 }
 
@@ -199,30 +150,23 @@ func (p *Profiler) run() {
 	}
 }
 
-// foldWindow parses one finished CPU window plus a heap snapshot and folds
-// both into the aggregate, then refreshes the live gauges.
+// foldWindow parses one finished CPU window, folds its samples into the
+// aggregate by label, keeps the raw window, and refreshes the live gauges.
 func (p *Profiler) foldWindow(pb []byte) {
 	prof, err := ParseProfile(pb)
-	heap := captureHeap()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.lastPB = pb
 	p.agg.windows++
 	if err == nil {
 		foldCPU(&p.agg, prof)
-		pruneStacks(p.agg.stacks, p.opt.MaxStacks)
-	}
-	if heap != nil {
-		if p.agg.heapBase == nil {
-			p.agg.heapBase = heap
-		}
-		p.agg.heapCur = heap
 	}
 	p.publishGauges()
 	obsWindows.Inc()
 }
 
-// foldCPU adds one parsed CPU profile's samples to agg.
+// foldCPU adds one parsed CPU profile's samples to agg by their phase, rec
+// and room labels.
 func foldCPU(agg *aggregate, prof *Profile) {
 	vi := prof.ValueIndex("cpu", "nanoseconds")
 	if vi < 0 {
@@ -247,97 +191,7 @@ func foldCPU(agg *aggregate, prof *Profile) {
 		if room := s.Label["room"]; room != "" {
 			agg.byRoom[room] += ns
 		}
-		if len(s.Stack) == 0 {
-			continue
-		}
-		agg.flat[s.Stack[0]] += ns
-		seen := map[string]bool{}
-		for _, fn := range s.Stack {
-			if !seen[fn] {
-				seen[fn] = true
-				agg.cum[fn] += ns
-			}
-		}
-		agg.stacks[collapseStack(s.Stack)] += ns
 	}
-}
-
-// maxStackDepth bounds collapsed stacks; deeper frames (towards the root)
-// are dropped first since flame rendering truncates there anyway.
-const maxStackDepth = 24
-
-// collapseStack renders a leaf-first stack as a root-first ";"-joined string.
-func collapseStack(stack []string) string {
-	if len(stack) > maxStackDepth {
-		stack = stack[:maxStackDepth]
-	}
-	var b strings.Builder
-	for i := len(stack) - 1; i >= 0; i-- {
-		b.WriteString(stack[i])
-		if i > 0 {
-			b.WriteByte(';')
-		}
-	}
-	return b.String()
-}
-
-// pruneStacks keeps the heaviest limit entries once the map grows past
-// 4×limit, bounding memory on long-running daemons.
-func pruneStacks(stacks map[string]int64, limit int) {
-	if len(stacks) <= 4*limit {
-		return
-	}
-	type kv struct {
-		k string
-		v int64
-	}
-	all := make([]kv, 0, len(stacks))
-	for k, v := range stacks {
-		all = append(all, kv{k, v})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v > all[j].v })
-	for _, e := range all[limit:] {
-		delete(stacks, e.k)
-	}
-}
-
-// captureHeap snapshots the cumulative heap profile per leaf symbol. Returns
-// nil on any failure — heap attribution is best-effort.
-func captureHeap() map[string]heapCounts {
-	lookup := pprof.Lookup("heap")
-	if lookup == nil {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := lookup.WriteTo(&buf, 0); err != nil {
-		return nil
-	}
-	prof, err := ParseProfile(buf.Bytes())
-	if err != nil {
-		return nil
-	}
-	ao := prof.ValueIndex("alloc_objects", "")
-	ab := prof.ValueIndex("alloc_space", "")
-	ib := prof.ValueIndex("inuse_space", "")
-	out := map[string]heapCounts{}
-	for _, s := range prof.Samples {
-		if len(s.Stack) == 0 {
-			continue
-		}
-		leaf := s.Stack[0]
-		hc := out[leaf]
-		if ao >= 0 && ao < len(s.Value) {
-			hc.allocObjects += s.Value[ao]
-		}
-		if ab >= 0 && ab < len(s.Value) {
-			hc.allocBytes += s.Value[ab]
-		}
-		if ib >= 0 && ib < len(s.Value) {
-			hc.inuseBytes += s.Value[ib]
-		}
-		out[leaf] = hc
-	}
-	return out
 }
 
 // publishGauges refreshes the live prof.* gauges from the aggregate.
@@ -406,63 +260,19 @@ func (p *Profiler) Snapshot() Summary {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return summarize(&p.agg, p.opt)
-}
-
-func summarize(agg *aggregate, opt Options) Summary {
 	s := Summary{
 		Timestamp:      time.Now().UTC().Format(time.RFC3339),
-		WindowSeconds:  opt.Window.Seconds(),
-		Windows:        agg.windows,
-		SkippedWindows: agg.skipped,
-		CPUSeconds:     float64(agg.cpuNs) / 1e9,
-		LabeledSeconds: float64(agg.labeledNs) / 1e9,
+		WindowSeconds:  p.opt.Window.Seconds(),
+		Windows:        p.agg.windows,
+		SkippedWindows: p.agg.skipped,
+		CPUSeconds:     float64(p.agg.cpuNs) / 1e9,
+		LabeledSeconds: float64(p.agg.labeledNs) / 1e9,
+		ByPhase:        secondsMap(p.agg.byPhase),
+		ByRec:          secondsMap(p.agg.byRec),
+		ByRoom:         secondsMap(p.agg.byRoom),
 	}
-	if agg.cpuNs > 0 {
-		s.LabeledFraction = float64(agg.labeledNs) / float64(agg.cpuNs)
-	}
-	s.ByPhase = secondsMap(agg.byPhase)
-	s.ByRec = secondsMap(agg.byRec)
-	s.ByRoom = secondsMap(agg.byRoom)
-
-	s.TopFlat = topSymbols(agg.flat, agg.cum, opt.TopN)
-
-	stacks := make([]StackSeconds, 0, len(agg.stacks))
-	for k, ns := range agg.stacks {
-		stacks = append(stacks, StackSeconds{Stack: k, Seconds: float64(ns) / 1e9})
-	}
-	sort.Slice(stacks, func(i, j int) bool {
-		if stacks[i].Seconds != stacks[j].Seconds {
-			return stacks[i].Seconds > stacks[j].Seconds
-		}
-		return stacks[i].Stack < stacks[j].Stack
-	})
-	if len(stacks) > opt.MaxStacks {
-		stacks = stacks[:opt.MaxStacks]
-	}
-	s.Stacks = stacks
-
-	if agg.heapCur != nil {
-		heap := make([]HeapSymbol, 0, len(agg.heapCur))
-		for name, cur := range agg.heapCur {
-			base := agg.heapBase[name]
-			heap = append(heap, HeapSymbol{
-				Name:         name,
-				AllocBytes:   max64(0, cur.allocBytes-base.allocBytes),
-				AllocObjects: max64(0, cur.allocObjects-base.allocObjects),
-				InuseBytes:   cur.inuseBytes,
-			})
-		}
-		sort.Slice(heap, func(i, j int) bool {
-			if heap[i].AllocBytes != heap[j].AllocBytes {
-				return heap[i].AllocBytes > heap[j].AllocBytes
-			}
-			return heap[i].Name < heap[j].Name
-		})
-		if len(heap) > opt.TopN {
-			heap = heap[:opt.TopN]
-		}
-		s.HeapTop = heap
+	if p.agg.cpuNs > 0 {
+		s.LabeledFraction = float64(p.agg.labeledNs) / float64(p.agg.cpuNs)
 	}
 	return s
 }
@@ -478,32 +288,30 @@ func secondsMap(ns map[string]int64) map[string]float64 {
 	return out
 }
 
-func topSymbols(flat, cum map[string]int64, n int) []Symbol {
-	out := make([]Symbol, 0, len(flat))
-	for name, f := range flat {
-		out = append(out, Symbol{
-			Name:        name,
-			FlatSeconds: float64(f) / 1e9,
-			CumSeconds:  float64(cum[name]) / 1e9,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].FlatSeconds != out[j].FlatSeconds {
-			return out[i].FlatSeconds > out[j].FlatSeconds
+// FormatPhases renders the per-label CPU-seconds tables (phase, then rec).
+func FormatPhases(s Summary) string {
+	var b strings.Builder
+	writeMap := func(title string, m map[string]float64) {
+		if len(m) == 0 {
+			return
 		}
-		return out[i].Name < out[j].Name
-	})
-	if len(out) > n {
-		out = out[:n]
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return m[keys[i]] > m[keys[j]] })
+		fmt.Fprintf(&b, "%s:\n", title)
+		for _, k := range keys {
+			var share float64
+			if s.CPUSeconds > 0 {
+				share = 100 * m[k] / s.CPUSeconds
+			}
+			fmt.Fprintf(&b, "  %-20s %9.3fs %6.1f%%\n", k, m[k], share)
+		}
 	}
-	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	writeMap("cpu by phase", s.ByPhase)
+	writeMap("cpu by recommender", s.ByRec)
+	return b.String()
 }
 
 // WriteJSON writes the current Summary to path atomically (the PROF_<exp>.json
@@ -520,7 +328,7 @@ func (p *Profiler) WriteJSON(path string) error {
 }
 
 // WriteLastProfile writes the most recent raw CPU profile window (gzipped
-// pprof protobuf, loadable by `go tool pprof` and cmd/afterprof) to path.
+// pprof protobuf, labels included, loadable by `go tool pprof`) to path.
 // Returns an error when no window has completed yet.
 func (p *Profiler) WriteLastProfile(path string) error {
 	if p == nil {
@@ -533,19 +341,4 @@ func (p *Profiler) WriteLastProfile(path string) error {
 		return fmt.Errorf("prof: no completed profile window")
 	}
 	return obs.WriteFileAtomic(path, pb)
-}
-
-// SummarizeProfile parses one raw pprof CPU profile and folds it into a
-// standalone Summary — the offline path cmd/afterprof and the CI attribution
-// step use on saved .pb.gz artifacts.
-func SummarizeProfile(data []byte, topN int) (Summary, error) {
-	prof, err := ParseProfile(data)
-	if err != nil {
-		return Summary{}, err
-	}
-	agg := newAggregate()
-	foldCPU(&agg, prof)
-	agg.windows = 1
-	opt := Options{TopN: topN}.withDefaults()
-	return summarize(&agg, opt), nil
 }

@@ -20,9 +20,8 @@ import (
 // snapshots), BENCH_*.json (the benchmark history), and PROF_<exp>.json
 // (continuous-profiling summaries) — and joins them into one self-contained
 // HTML dashboard. Zero external dependencies: styling is an inline <style>
-// block and every sparkline and flamegraph is inline SVG, so the file
-// renders identically from a CI artifact tab, an email attachment, or
-// file://.
+// block and every sparkline is inline SVG, so the file renders identically
+// from a CI artifact tab, an email attachment, or file://.
 
 // benchRecord is the slice of exp.BenchReport the report needs. Decoding with
 // a local struct (unknown fields ignored) keeps the dependency arrow pointing
@@ -478,11 +477,8 @@ func renderObsSection(b *strings.Builder, runs []obsRun) {
 }
 
 // renderProfSection emits one block per PROF_<exp>.json continuous-profiling
-// summary: the per-phase / per-rec CPU-seconds attribution tables, the flat
-// symbol top, the heap-delta top, and an inline SVG icicle flamegraph built
-// from the collapsed-stack table. Like every other section, the output is
-// self-contained — the flamegraph is plain nested <rect>/<text> elements with
-// <title> hover tooltips, no scripts.
+// summary: the per-phase, per-rec and per-room CPU-seconds attribution
+// tables. Symbol-level views come from `go tool pprof` on the raw windows.
 func renderProfSection(b *strings.Builder, runs []profRun) {
 	if len(runs) == 0 {
 		return
@@ -503,30 +499,6 @@ func renderProfSection(b *strings.Builder, runs []profRun) {
 		renderSecondsTable(b, "phase", s.ByPhase, s.CPUSeconds)
 		renderSecondsTable(b, "recommender", s.ByRec, s.CPUSeconds)
 		renderSecondsTable(b, "room", s.ByRoom, s.CPUSeconds)
-
-		if len(s.TopFlat) > 0 {
-			b.WriteString("<table><tr><th>symbol (flat top)</th><th>flat</th><th>cum</th><th>% of sampled</th></tr>\n")
-			for _, sym := range s.TopFlat {
-				pct := 0.0
-				if s.CPUSeconds > 0 {
-					pct = 100 * sym.FlatSeconds / s.CPUSeconds
-				}
-				fmt.Fprintf(b, "<tr><td><code>%s</code></td><td>%.3fs</td><td>%.3fs</td><td>%.1f%%</td></tr>\n",
-					esc(sym.Name), sym.FlatSeconds, sym.CumSeconds, pct)
-			}
-			b.WriteString("</table>\n")
-		}
-		if len(s.Stacks) > 0 {
-			b.WriteString(flamegraph(s.Stacks))
-		}
-		if len(s.HeapTop) > 0 {
-			b.WriteString("<table><tr><th>symbol (heap delta)</th><th>alloc bytes</th><th>alloc objects</th><th>in-use bytes</th></tr>\n")
-			for _, hs := range s.HeapTop {
-				fmt.Fprintf(b, "<tr><td><code>%s</code></td><td>%s</td><td>%d</td><td>%s</td></tr>\n",
-					esc(hs.Name), fmtBytes(hs.AllocBytes), hs.AllocObjects, fmtBytes(hs.InuseBytes))
-			}
-			b.WriteString("</table>\n")
-		}
 	}
 }
 
@@ -560,124 +532,6 @@ func renderSecondsTable(b *strings.Builder, dim string, m map[string]float64, to
 		fmt.Fprintf(b, "<tr><td>%s</td><td>%.3fs</td><td>%.1f%%</td></tr>\n", esc(r.k), r.v, pct)
 	}
 	b.WriteString("</table>\n")
-}
-
-// flameNode is one frame in the flamegraph trie built from collapsed stacks.
-type flameNode struct {
-	name     string
-	total    float64
-	children map[string]*flameNode
-}
-
-// flamegraph renders the collapsed-stack table as a static SVG icicle: root
-// row on top, callees below, rectangle width proportional to sampled CPU.
-// Hovering a frame shows the full symbol and seconds via <title>. Frames too
-// narrow to matter visually (< 0.1% of the root width) are dropped, matching
-// what interactive flamegraph viewers do at min-width.
-func flamegraph(stacks []prof.StackSeconds) string {
-	root := &flameNode{name: "total", children: map[string]*flameNode{}}
-	maxDepth := 0
-	for _, st := range stacks {
-		if st.Seconds <= 0 || st.Stack == "" {
-			continue
-		}
-		frames := strings.Split(st.Stack, ";")
-		if len(frames) > maxDepth {
-			maxDepth = len(frames)
-		}
-		root.total += st.Seconds
-		n := root
-		for _, f := range frames {
-			c := n.children[f]
-			if c == nil {
-				c = &flameNode{name: f, children: map[string]*flameNode{}}
-				n.children[f] = c
-			}
-			c.total += st.Seconds
-			n = c
-		}
-	}
-	if root.total <= 0 {
-		return ""
-	}
-	const (
-		width = 1100.0
-		rowH  = 17.0
-	)
-	height := float64(maxDepth+1) * rowH
-	var svg strings.Builder
-	fmt.Fprintf(&svg,
-		`<svg class="flame" width="100%%" viewBox="0 0 %.0f %.0f" style="font:11px monospace;display:block;margin:.5rem 0 1rem">`,
-		width, height)
-	var draw func(n *flameNode, x, w float64, depth int)
-	draw = func(n *flameNode, x, w float64, depth int) {
-		if w < width/1000 {
-			return
-		}
-		y := float64(depth) * rowH
-		fmt.Fprintf(&svg,
-			`<g><rect x="%.2f" y="%.2f" width="%.2f" height="%.0f" fill="%s" stroke="#fdfdfd" stroke-width="0.5"/>`,
-			x, y, w, rowH, flameColor(n.name))
-		fmt.Fprintf(&svg, `<title>%s — %.3fs (%.1f%%)</title>`, esc(n.name), n.total, 100*n.total/root.total)
-		// Label only frames wide enough to hold text (~6.5px/char at 11px mono).
-		if chars := int(w/6.5) - 1; chars >= 3 {
-			label := n.name
-			if len(label) > chars {
-				label = label[:chars-1] + "…"
-			}
-			fmt.Fprintf(&svg, `<text x="%.2f" y="%.2f" fill="#1a1a2e">%s</text>`, x+3, y+rowH-5, esc(label))
-		}
-		svg.WriteString(`</g>`)
-		// Children laid out left-to-right, heaviest first, name-tiebroken so
-		// the same summary always renders the same picture.
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Slice(names, func(i, j int) bool {
-			ci, cj := n.children[names[i]], n.children[names[j]]
-			if ci.total != cj.total {
-				return ci.total > cj.total
-			}
-			return names[i] < names[j]
-		})
-		cx := x
-		for _, name := range names {
-			c := n.children[name]
-			cw := w * c.total / n.total
-			draw(c, cx, cw, depth+1)
-			cx += cw
-		}
-	}
-	draw(root, 0, width, 0)
-	svg.WriteString("</svg>\n")
-	return "<p class=\"muted\">CPU flamegraph (icicle; width ∝ sampled seconds; hover for full symbols):</p>\n" + svg.String()
-}
-
-// flameColor assigns a deterministic warm hue per symbol name (FNV-1a), so
-// identical frames share a color across reports without any palette table.
-func flameColor(name string) string {
-	var h uint32 = 2166136261
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
-	}
-	// Warm band: hue 0–55 (red→yellow), saturation and lightness jittered
-	// slightly so adjacent same-hue frames remain distinguishable.
-	return fmt.Sprintf("hsl(%d,%d%%,%d%%)", h%56, 65+int(h>>8)%20, 62+int(h>>16)%12)
-}
-
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2fGiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }
 
 // renderBenchSection emits the benchmark history as trend rows: one sparkline

@@ -297,7 +297,7 @@ func (g *StaticGraph) buildNeighborsSweep() {
 	sorted := make([][]int32, n)
 	for w := 0; w < n; w++ {
 		base := rawStart[w]
-		sorted[w] = flat[base:base : base+deg[w]]
+		sorted[w] = flat[base : base : base+deg[w]]
 	}
 	for u := int32(0); int(u) < n; u++ {
 		for _, w := range raw[rawStart[u]:cursor[u]] {

@@ -136,6 +136,14 @@ func TestServeAdmissionErrors(t *testing.T) {
 	if _, err := s.CreateRoom(RoomSpec{Name: "tiny", Users: 1}); apiStatus(err) != http.StatusBadRequest {
 		t.Fatal("1-user room accepted")
 	}
+	for _, vr := range []float64{2, -0.5} {
+		if _, err := s.CreateRoom(RoomSpec{Name: "vr", Users: 40, VRFraction: vr}); apiStatus(err) != http.StatusBadRequest {
+			t.Fatalf("vr_fraction %v: %v, want 400", vr, err)
+		}
+	}
+	if _, err := s.CreateRoom(RoomSpec{Name: "long", Users: 8, Horizon: 101}); apiStatus(err) != http.StatusBadRequest {
+		t.Fatalf("horizon 101: %v, want 400", err)
+	}
 }
 
 func apiStatus(err error) int {

@@ -31,9 +31,9 @@ type RoomSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// VRFraction is the remote-user proportion (default 0.5).
 	VRFraction float64 `json:"vr_fraction,omitempty"`
-	// Horizon is the generator's trajectory length T. The generated
-	// trajectory only seeds the room's utility structure — live serving
-	// positions come from frame ingestion.
+	// Horizon is the generator's trajectory length T (default 8, at most
+	// dataset.DefaultT). The generated trajectory only seeds the room's
+	// utility structure — live serving positions come from frame ingestion.
 	Horizon int `json:"horizon,omitempty"`
 }
 
@@ -158,6 +158,10 @@ func (s *Server) CreateRoom(spec RoomSpec) (RoomInfo, error) {
 	}
 	if spec.Horizon <= 0 {
 		spec.Horizon = 8
+	}
+	// Generation cost grows linearly with the horizon; the paper's T bounds it.
+	if spec.Horizon > dataset.DefaultT {
+		return RoomInfo{}, &APIError{Status: http.StatusBadRequest, Msg: fmt.Sprintf("horizon must be at most %d", dataset.DefaultT)}
 	}
 	// Scale the platform graph with the room so creation stays cheap for
 	// small rooms; the generator needs platform >= room.
