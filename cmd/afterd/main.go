@@ -75,8 +75,8 @@ func realMain() int {
 		accessLog   = flag.String("access-log", "", "write one wide-event JSONL record per request here (tail-sampled, size-capped rotation)")
 		accessN     = flag.Int("access-sample", wide.DefaultSampleN, "keep 1-in-N healthy requests in the access log (shed/degraded/slow always kept; <0 keeps all)")
 		sloObj      = flag.Float64("slo-objective", 0.99, "availability objective for the error-budget tracker behind /slo")
-		profOn      = flag.Bool("prof", true, "continuous profiling: windowed CPU profiles with (room, rec, phase) labels, aggregated into /metrics and PROF_serve.json at drain")
-		profWindow  = flag.Duration("prof-window", 10*time.Second, "continuous-profiling window length")
+		profOn      = flag.Bool("prof", true, "continuous profiling: windowed CPU profiles with (room, rec, phase) labels; drain writes the last window as cpu_serve.pb.gz to -snapshot-dir (`go tool pprof -tags` sums its CPU per label)")
+		profWindow  = flag.Duration("prof-window", 10*time.Second, "continuous-profiling window length; cpu_serve.pb.gz holds the last window, cut short at drain")
 		wdMult      = flag.Float64("watchdog-mult", 8, "stall watchdog fires when a batch runs this multiple of its grace budget (0 disables)")
 		incidentDir = flag.String("incident-dir", "", "directory for watchdog incident bundles (default: -snapshot-dir)")
 		mutexFrac   = flag.Int("mutexprofile", 0, "runtime.SetMutexProfileFraction: sample 1-in-N mutex contention events into /debug/pprof/mutex (0 off)")
@@ -136,10 +136,10 @@ func realMain() int {
 		fmt.Printf("afterd: access log at %s (1-in-%d healthy sampling, tail always kept)\n", *accessLog, *accessN)
 	}
 
-	// Continuous profiling + runtime health: the profiler cycles windowed CPU
-	// profiles (folding labeled samples into prof.* gauges), the health
-	// collector snapshots runtime/metrics into health.* gauges, and both ride
-	// every /metrics scrape. Drain folds the final window into PROF_serve.json.
+	// Continuous profiling + runtime health: the profiler cycles windowed,
+	// labelled CPU profiles and keeps the last one, and the health collector
+	// snapshots runtime/metrics into health.* gauges on every /metrics
+	// scrape. Drain writes the final window as cpu_serve.pb.gz.
 	var profiler *prof.Profiler
 	if *profOn {
 		profiler = prof.Start(prof.Options{Window: *profWindow})
@@ -149,7 +149,7 @@ func realMain() int {
 		fmt.Printf("afterd: continuous profiling on (%v windows)\n", *profWindow)
 	}
 	// Stall watchdog: any batch still running after wdMult x the straggler
-	// grace dumps an incident bundle (goroutines, short CPU profile, recent
+	// grace dumps an incident bundle (goroutines, a CPU profile, recent
 	// wide events) for post-mortem without an attached debugger.
 	var watchdog *prof.Watchdog
 	if *wdMult > 0 {

@@ -21,8 +21,9 @@
 // single configuration.
 //
 // Performance knobs: -parallel N caps the worker pool (0 = GOMAXPROCS, 1 =
-// fully sequential); -cpuprofile / -memprofile write pprof profiles of the
-// run. `-exp bench` records the wall-clock baseline to BENCH_baseline.json
+// fully sequential); -memprofile writes a pprof heap profile of the run, and
+// every experiment writes its labelled CPU profile as cpu_<exp>.pb.gz (see
+// -prof). `-exp bench` records the wall-clock baseline to BENCH_baseline.json
 // on first run and BENCH_latest.json afterwards, so a baseline refresh is an
 // explicit delete-and-rerun.
 //
@@ -81,7 +82,6 @@ func realMain() int {
 		quick      = flag.Bool("quick", false, "single training configuration instead of the selection grid")
 		seed       = flag.Int64("seed", 0, "seed offset for all generators and trainers")
 		workers    = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file")
 		obsOn      = flag.Bool("obs", true, "record observability metrics and write OBS_<exp>.json snapshots")
 		qualityOn  = flag.Bool("quality", true, "record quality telemetry (attribution, oracle regret, drift) and write QUALITY_<exp>.json; requires -obs")
@@ -90,8 +90,7 @@ func realMain() int {
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /quality on this address (e.g. :6060)")
 		tracePath  = flag.String("trace", "", "capture the span stream as Chrome trace-event JSON to this file")
 		curvePath  = flag.String("traincurve", "", "append per-epoch training-curve records (JSONL) to this file")
-		profOn     = flag.Bool("prof", true, "continuous profiling: windowed CPU profiles with (room, rec, phase) labels; writes PROF_<exp>.json and the last raw window as cpu_<exp>.pb.gz per experiment (requires -obs)")
-		profWindow = flag.Duration("prof-window", 10*time.Second, "continuous-profiling window length")
+		profOn     = flag.Bool("prof", true, "continuous profiling: one CPU profile per experiment with (room, rec, phase) labels, written as cpu_<exp>.pb.gz; `go tool pprof -tags` sums its CPU per label (requires -obs)")
 		mutexFrac  = flag.Int("mutexprofile", 0, "runtime.SetMutexProfileFraction: sample 1-in-N mutex contention events into /debug/pprof/mutex (0 off)")
 		blockRate  = flag.Int("blockprofile", 0, "runtime.SetBlockProfileRate: sample blocking events >= N ns into /debug/pprof/block (0 off)")
 	)
@@ -126,28 +125,10 @@ func realMain() int {
 		runtime.SetBlockProfileRate(*blockRate)
 	}
 
-	// Profiling set-up is fail-fast: both output files are created before any
+	// Profiling set-up is fail-fast: the output file is created before any
 	// work runs, so a typo'd path dies in milliseconds instead of after a
-	// 20-minute sweep. The flush defers below run on every exit path of
+	// 20-minute sweep. The flush defer below runs on every exit path of
 	// realMain — early flag errors, experiment failures, and success alike.
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aftersim: -cpuprofile: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "aftersim: -cpuprofile: %v\n", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "aftersim: -cpuprofile: %v\n", err)
-			}
-		}()
-	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
@@ -164,14 +145,13 @@ func realMain() int {
 			}
 		}()
 	}
-	// The continuous profiler starts after a -cpuprofile (if any) has claimed
-	// the process's single CPU-profile slot: the explicit whole-run profile
-	// wins, and the continuous loop counts skipped windows instead of failing.
-	// profiler stays nil with -prof=false or -obs=false; every method is
-	// nil-safe.
+	// The continuous profiler runs without a window timer: Reset starts each
+	// experiment's window and Rotate ends it, so cpu_<exp>.pb.gz covers the
+	// whole experiment. profiler stays nil with -prof=false or -obs=false;
+	// every method is nil-safe.
 	var profiler *prof.Profiler
 	if *profOn && recordObs {
-		profiler = prof.Start(prof.Options{Window: *profWindow})
+		profiler = prof.Start(prof.Options{})
 		defer profiler.Stop()
 	}
 	if *tracePath != "" {
@@ -297,8 +277,8 @@ func realMain() int {
 			// every package's cached metric handles valid.
 			obs.Default().Reset()
 		}
-		// The profiler aggregate resets in step with the registry so each
-		// PROF_<exp>.json covers exactly one experiment.
+		// The profile window restarts in step with the registry so each
+		// cpu_<exp>.pb.gz covers exactly one experiment.
 		profiler.Reset()
 		// bench/scale are performance measurements: the per-step oracle in
 		// the quality layer would distort exactly the latencies they gate on,
@@ -311,12 +291,12 @@ func realMain() int {
 		}
 		start := time.Now()
 		out, err := run(opts)
-		// Fold the live window first, so a run that trips a gate still
-		// reports where its CPU went and leaves its last raw window.
+		// End the experiment's window first, so a run that trips a gate
+		// still leaves its profile to show where its CPU went.
 		profiler.Rotate()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "aftersim: %s: %v\n%s", id, err, prof.FormatPhases(profiler.Snapshot()))
-			writeLastWindow(profiler, id)
+			fmt.Fprintf(os.Stderr, "aftersim: %s: %v\n", id, err)
+			writeProfile(profiler, id)
 			return 1
 		}
 		fmt.Println(out)
@@ -333,17 +313,7 @@ func realMain() int {
 			}
 			fmt.Printf("wrote %s\n", obsPath)
 		}
-		if profiler != nil {
-			profPath := "PROF_" + id + ".json"
-			if err := profiler.WriteJSON(profPath); err != nil {
-				fmt.Fprintf(os.Stderr, "aftersim: %s: %v\n", id, err)
-				return 1
-			}
-			snap := profiler.Snapshot()
-			fmt.Printf("wrote %s (%.2fs CPU sampled, %.0f%% labeled)\n%s",
-				profPath, snap.CPUSeconds, 100*snap.LabeledFraction, prof.FormatPhases(snap))
-			writeLastWindow(profiler, id)
-		}
+		writeProfile(profiler, id)
 		if expQuality {
 			snap := quality.Default().Snapshot()
 			qPath := "QUALITY_" + id + ".json"
@@ -366,10 +336,10 @@ func realMain() int {
 	return 0
 }
 
-// writeLastWindow writes the experiment's last raw CPU window as
-// cpu_<id>.pb.gz for `go tool pprof`. Best-effort: a -cpuprofile run owns
-// the profile slot and leaves no window.
-func writeLastWindow(p *prof.Profiler, id string) {
+// writeProfile writes the experiment's CPU profile as cpu_<id>.pb.gz for
+// `go tool pprof`. Best-effort: with -prof=false, or when a live
+// /debug/pprof/profile scrape held the profile slot, there is none.
+func writeProfile(p *prof.Profiler, id string) {
 	path := "cpu_" + id + ".pb.gz"
 	if p.WriteLastProfile(path) == nil {
 		fmt.Printf("wrote %s\n", path)

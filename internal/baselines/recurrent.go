@@ -385,14 +385,3 @@ func (s *recurrentSession) Step(t int, frame *occlusion.StaticGraph) []bool {
 }
 
 func expNeg(x float64) float64 { return math.Exp(-x) }
-
-// SetOutputBias overrides the readout bias of a freshly built model; used
-// to study the collapse-to-nothing failure mode.
-func (m *Recurrent) SetOutputBias(b float64) {
-	if k, ok := m.kern.(*dcrnnKernel); ok {
-		k.out.B.Value.Set(0, 0, b)
-	}
-	if k, ok := m.kern.(*tgcnKernel); ok {
-		k.out.B.Value.Set(0, 0, b)
-	}
-}

@@ -1,27 +1,28 @@
 package core
 
 import (
-	"bytes"
-	"runtime/pprof"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"after/internal/dataset"
 	"after/internal/obs/prof"
+	"after/internal/obs/prof/proftest"
 	"after/internal/occlusion"
 	"after/internal/parallel"
 )
 
 // TestBatchProfLabelPropagation pins the continuous-profiling attribution
-// contract on the serving-path kernel: a fused 16-target batch stepped under
-// a CPU profile must produce core/tensor samples carrying the session's room
+// contract on the serving-path kernel: while a fused 16-target batch steps,
+// the goroutines running core/tensor code must carry the session's room
 // label and a known phase label — at one worker (everything on the calling
 // goroutine) and at eight (tensor kernels fanning out over the pool, where
-// labels must survive via goroutine inheritance).
+// labels must survive via goroutine inheritance). A sampler goroutine reads
+// the labels from goroutine profiles taken while the batch steps.
 func TestBatchProfLabelPropagation(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cpu profiling skipped in -short")
+		t.Skip("goroutine sampling skipped in -short")
 	}
 	room, err := dataset.Generate(dataset.Config{
 		Kind: dataset.Hubs, PlatformUsers: 200, RoomUsers: 20, T: 24, Seed: 424,
@@ -47,16 +48,59 @@ func TestBatchProfLabelPropagation(t *testing.T) {
 	knownPhases := map[string]bool{
 		"batch": true, "mia": true, "pdr": true, "lwp": true, "decode": true, "spmm": true,
 	}
+	// inForward reports whether a stack is running the batched forward: a
+	// core or tensor frame other than this file's test functions. The
+	// sampler and the test goroutine between steps are not.
+	inForward := func(stack string) bool {
+		for _, fn := range strings.Split(stack, "\n") {
+			if (strings.Contains(fn, "internal/core.") || strings.Contains(fn, "internal/tensor.")) &&
+				!strings.Contains(fn, "internal/core.Test") {
+				return true
+			}
+		}
+		return false
+	}
 	for _, workers := range []int{1, 8} {
 		parallel.WithLimit(workers, func() {
 			bs := m.StartBatchSession(room, BatchOptions{})
 			bs.SetProfLabels(prof.NewLabels("room7", "POSHGNN"))
 			frames := make([]*occlusion.StaticGraph, len(targets))
 
-			var buf bytes.Buffer
-			if err := pprof.StartCPUProfile(&buf); err != nil {
-				t.Skipf("cpu profile slot busy: %v", err)
+			stop := make(chan struct{})
+			type tally struct {
+				core, labeled int
+				err           error
 			}
+			sampled := make(chan tally, 1)
+			go func() {
+				var n tally
+				for {
+					select {
+					case <-stop:
+						sampled <- n
+						return
+					default:
+					}
+					gs, err := proftest.Goroutines()
+					if err != nil {
+						n.err = err
+						continue
+					}
+					for _, g := range gs {
+						if !inForward(g.Stack) {
+							continue
+						}
+						n.core += g.Count
+						phase := g.Labels["phase"]
+						if g.Labels["room"] == "room7" && g.Labels["rec"] == "POSHGNN" && knownPhases[phase] {
+							n.labeled += g.Count
+						} else if phase != "" && !knownPhases[phase] {
+							n.err = fmt.Errorf("unknown phase label %q", phase)
+						}
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}()
 			deadline := time.Now().Add(500 * time.Millisecond)
 			for rep := 0; time.Now().Before(deadline); rep++ {
 				for st := 0; st < steps; st++ {
@@ -66,48 +110,19 @@ func TestBatchProfLabelPropagation(t *testing.T) {
 					bs.StepTargets(rep*steps+st, targets, frames)
 				}
 			}
-			pprof.StopCPUProfile()
-
-			p, err := prof.ParseProfile(buf.Bytes())
-			if err != nil {
-				t.Fatalf("workers=%d: ParseProfile: %v", workers, err)
+			close(stop)
+			n := <-sampled
+			if n.err != nil {
+				t.Fatalf("workers=%d: %v", workers, n.err)
 			}
-			vi := p.ValueIndex("cpu", "nanoseconds")
-			if vi < 0 {
-				t.Fatalf("workers=%d: no cpu value type", workers)
+			if n.core == 0 {
+				t.Skipf("workers=%d: no goroutine sampled in the forward (starved runner)", workers)
 			}
-			// Judge only samples that demonstrably ran the batched forward
-			// (a core or tensor frame on the stack): unrelated runtime work
-			// (GC workers, the profiler itself) is legitimately unlabeled.
-			var coreNs, labeledNs int64
-			for _, s := range p.Samples {
-				inCore := false
-				for _, fn := range s.Stack {
-					if strings.Contains(fn, "internal/core.") || strings.Contains(fn, "internal/tensor.") {
-						inCore = true
-						break
-					}
-				}
-				if !inCore {
-					continue
-				}
-				ns := s.Value[vi]
-				coreNs += ns
-				phase := s.Label["phase"]
-				if s.Label["room"] == "room7" && s.Label["rec"] == "POSHGNN" && knownPhases[phase] {
-					labeledNs += ns
-				} else if phase != "" && !knownPhases[phase] {
-					t.Errorf("workers=%d: unknown phase label %q", workers, phase)
-				}
-			}
-			if coreNs == 0 {
-				t.Skipf("workers=%d: no core samples collected (starved runner)", workers)
-			}
-			frac := float64(labeledNs) / float64(coreNs)
-			t.Logf("workers=%d: %.1f%% of core CPU labeled (%.2fms of %.2fms)",
-				workers, 100*frac, float64(labeledNs)/1e6, float64(coreNs)/1e6)
+			frac := float64(n.labeled) / float64(n.core)
+			t.Logf("workers=%d: %.1f%% of sampled core goroutines labeled (%d of %d)",
+				workers, 100*frac, n.labeled, n.core)
 			if frac < 0.9 {
-				t.Errorf("workers=%d: only %.1f%% of core-path CPU carries room/phase labels, want >= 90%%",
+				t.Errorf("workers=%d: only %.1f%% of sampled core-path goroutines carry room/phase labels, want >= 90%%",
 					workers, 100*frac)
 			}
 		})
@@ -130,31 +145,22 @@ func TestBatchProfLabelsRestoreAmbient(t *testing.T) {
 	bs.SetProfLabels(prof.NewLabels("roomZ", "POSHGNN"))
 	bs.StepTargets(0, []int{0}, []*occlusion.StaticGraph{dog.Frames[0]})
 
-	// The only observable of SetGoroutineLabels is a profile; a goroutine
-	// dump (debug=0) reports the current labels without burning CPU.
-	var buf bytes.Buffer
-	if err := pprof.Lookup("goroutine").WriteTo(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	p, err := prof.ParseProfile(buf.Bytes())
+	// A goroutine profile reports the current labels without burning CPU.
+	gs, err := proftest.Goroutines()
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, s := range p.Samples {
-		for _, fn := range s.Stack {
-			if strings.Contains(fn, "TestBatchProfLabelsRestoreAmbient") {
-				found = true
-				if got := s.Label["phase"]; got != "" {
-					t.Errorf("caller goroutine still labeled phase=%q after StepTargets", got)
-				}
-				if got := s.Label["room"]; got != "roomZ" {
-					t.Errorf("caller goroutine lost ambient room label, got %q", got)
-				}
-			}
+	for _, g := range gs {
+		if !strings.Contains(g.Stack, "TestBatchProfLabelsRestoreAmbient") {
+			continue
 		}
+		if got := g.Labels["phase"]; got != "" {
+			t.Errorf("caller goroutine still labeled phase=%q after StepTargets", got)
+		}
+		if got := g.Labels["room"]; got != "roomZ" {
+			t.Errorf("caller goroutine lost ambient room label, got %q", got)
+		}
+		return
 	}
-	if !found {
-		t.Skip("test goroutine not found in goroutine profile")
-	}
+	t.Skip("test goroutine not found in goroutine profile")
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
-	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -11,6 +10,7 @@ import (
 	"after/internal/core"
 	"after/internal/obs"
 	"after/internal/obs/prof"
+	"after/internal/obs/prof/proftest"
 	"after/internal/occlusion"
 	"after/internal/sim"
 )
@@ -73,22 +73,16 @@ func TestStepWrappersKeepBatchAndCarriers(t *testing.T) {
 		t.Error("no batch.step span parented under the span given to the wrapper")
 	}
 
-	buf.Reset()
-	if err := pprof.Lookup("goroutine").WriteTo(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	p, err := prof.ParseProfile(buf.Bytes())
+	gs, err := proftest.Goroutines()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range p.Samples {
-		for _, fn := range s.Stack {
-			if strings.Contains(fn, "TestStepWrappersKeepBatchAndCarriers") {
-				if got := s.Label["room"]; got != "roomW" {
-					t.Errorf("profiling labels did not reach the BatchSession: caller labeled room=%q", got)
-				}
-				return
+	for _, g := range gs {
+		if strings.Contains(g.Stack, "TestStepWrappersKeepBatchAndCarriers") {
+			if got := g.Labels["room"]; got != "roomW" {
+				t.Errorf("profiling labels did not reach the BatchSession: caller labeled room=%q", got)
 			}
+			return
 		}
 	}
 	t.Skip("test goroutine not found in goroutine profile")

@@ -96,7 +96,7 @@ func Attribute(room *dataset.Room, dog *occlusion.DOG, rendered [][]bool, beta f
 				}
 				continue
 			}
-			// Rendered but not visible. PresentSet marks every rendered user
+			// Rendered but not visible. PresentSetInto marks every rendered user
 			// present, so the only way to be invisible is the occlusion gate:
 			// another present user's image overlaps this one.
 			gated++

@@ -1,10 +1,10 @@
 // Package prof is the repo's zero-dependency continuous-profiling layer: a
 // pprof goroutine-label fabric that attributes CPU samples to the same
 // (room, recommender, phase) coordinates the span tracer names, a windowed
-// always-on CPU profiler that folds those samples into per-label CPU-seconds
-// and keeps the last raw window for `go tool pprof`, a runtime health
-// collector riding runtime/metrics, and a stall watchdog that dumps incident
-// bundles when a batch blows through a multiple of its deadline.
+// always-on CPU profiler that keeps the last raw window for `go tool pprof`
+// (whose -tags view sums CPU per label), a runtime health collector riding
+// runtime/metrics, and a stall watchdog that dumps incident bundles when a
+// batch blows through a multiple of its deadline.
 //
 // Like obs and obs/quality, the package is opt-in-cheap: every label
 // application is gated behind one package-level atomic flag, so with the flag
@@ -80,8 +80,7 @@ func (p Phase) String() string {
 // unlabelled paths (library users, sessions outside serving) pay only the
 // nil check.
 type Labels struct {
-	room, rec string
-	ctx       [numPhases]context.Context
+	ctx [numPhases]context.Context
 }
 
 // NewLabels builds the label set for one (room, recommender) pair. Either
@@ -89,7 +88,7 @@ type Labels struct {
 // phase contexts are built eagerly — NewLabels is a per-session cost (a few
 // small allocations), keeping per-phase Set allocation-free.
 func NewLabels(room, rec string) *Labels {
-	l := &Labels{room: room, rec: rec}
+	l := &Labels{}
 	for p := Phase(0); p < numPhases; p++ {
 		kv := make([]string, 0, 6)
 		if room != "" {
@@ -104,22 +103,6 @@ func NewLabels(room, rec string) *Labels {
 		l.ctx[p] = pprof.WithLabels(context.Background(), pprof.Labels(kv...))
 	}
 	return l
-}
-
-// Room returns the room label ("" when unset).
-func (l *Labels) Room() string {
-	if l == nil {
-		return ""
-	}
-	return l.room
-}
-
-// Rec returns the recommender label ("" when unset).
-func (l *Labels) Rec() string {
-	if l == nil {
-		return ""
-	}
-	return l.rec
 }
 
 // Set switches the calling goroutine's pprof labels to the given phase

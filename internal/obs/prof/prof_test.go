@@ -2,10 +2,8 @@ package prof
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -26,115 +24,46 @@ func burn(d time.Duration) float64 {
 	return x
 }
 
-// TestParseProfileLive profiles a labeled CPU burn in-process and checks the
-// hand-rolled parser recovers sample types, stacks, and labels from the real
-// runtime encoding — the format the whole package depends on.
-func TestParseProfileLive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cpu profiling skipped in -short")
-	}
-	var buf bytes.Buffer
-	if err := pprof.StartCPUProfile(&buf); err != nil {
-		t.Skipf("cpu profile slot busy: %v", err)
-	}
-	ctx := pprof.WithLabels(context.Background(), pprof.Labels("phase", "testburn"))
-	pprof.SetGoroutineLabels(ctx)
-	burn(400 * time.Millisecond)
-	pprof.SetGoroutineLabels(context.Background())
-	pprof.StopCPUProfile()
-
-	p, err := ParseProfile(buf.Bytes())
-	if err != nil {
-		t.Fatalf("ParseProfile: %v", err)
-	}
-	if p.ValueIndex("cpu", "nanoseconds") < 0 {
-		t.Fatalf("no cpu/nanoseconds sample type: %+v", p.SampleType)
-	}
-	if len(p.Samples) == 0 {
-		t.Skip("no samples collected (starved CI runner)")
-	}
-	var labeled, withStack int
-	for _, s := range p.Samples {
-		if len(s.Stack) > 0 {
-			withStack++
-		}
-		if s.Label["phase"] == "testburn" {
-			labeled++
-		}
-	}
-	if withStack == 0 {
-		t.Error("no sample resolved to a function stack")
-	}
-	if labeled == 0 {
-		t.Error("no sample carried the phase label set during the burn")
-	}
-	t.Logf("samples=%d labeled=%d stacks=%d", len(p.Samples), labeled, withStack)
-}
-
-// TestProfilerWindowLoop runs the continuous profiler over a labeled burn and
-// checks Rotate/Snapshot/Reset/WriteJSON semantics plus the live gauges.
+// TestProfilerWindowLoop checks when windows end: with Window 0 only Rotate,
+// Reset and Stop cut one (Reset drops it), and with a Window the loop cuts
+// its own.
 func TestProfilerWindowLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cpu profiling skipped in -short")
 	}
-	prevE := SetEnabled(true)
-	prevO := obs.SetEnabled(true)
-	defer func() {
-		SetEnabled(prevE)
-		obs.SetEnabled(prevO)
-	}()
-	reg := obs.NewRegistry()
-	p := Start(Options{Window: 50 * time.Millisecond, Registry: reg})
+	defer SetEnabled(On())
+	path := filepath.Join(t.TempDir(), "cpu.pb.gz")
+
+	p := Start(Options{})
 	defer p.Stop()
-
-	ls := NewLabels("room0", "POSHGNN")
-	ls.Set(PhaseLWP)
-	burn(400 * time.Millisecond)
-	Clear()
-
+	burn(50 * time.Millisecond)
+	if err := p.WriteLastProfile(path); err == nil {
+		t.Fatal("a Window-0 profiler ended a window before Rotate")
+	}
 	p.Rotate()
-	sum := p.Snapshot()
-	if sum.Windows == 0 && sum.SkippedWindows == 0 {
-		t.Fatal("no windows completed")
-	}
-	if sum.CPUSeconds == 0 {
-		t.Skip("no samples collected (starved CI runner)")
-	}
-	if sum.ByPhase["lwp"] == 0 {
-		t.Errorf("no CPU attributed to phase=lwp: %+v", sum.ByPhase)
-	}
-	if sum.ByRec["POSHGNN"] == 0 {
-		t.Errorf("no CPU attributed to rec=POSHGNN: %+v", sum.ByRec)
-	}
-	if sum.ByRoom["room0"] == 0 {
-		t.Errorf("no CPU attributed to room=room0: %+v", sum.ByRoom)
-	}
-	if sum.LabeledFraction < 0.5 {
-		t.Errorf("labeled fraction %.2f, want most of the burn labeled", sum.LabeledFraction)
-	}
-	if reg.Snapshot().Gauges["prof.cpu_seconds_total"] == 0 {
-		t.Error("prof.cpu_seconds_total gauge not published")
-	}
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "PROF_test.json")
-	if err := p.WriteJSON(path); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	if err := p.WriteLastProfile(path); err != nil {
+		t.Fatalf("WriteLastProfile after Rotate: %v", err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(data, []byte(`"by_phase"`)) {
-		t.Errorf("summary json missing by_phase: %s", data)
+	if !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+		t.Errorf("last window is not a gzipped profile: % x", data[:min(len(data), 4)])
 	}
-	if err := p.WriteLastProfile(filepath.Join(dir, "cpu.pb.gz")); err != nil {
-		t.Errorf("WriteLastProfile: %v", err)
-	}
-
 	p.Reset()
-	if got := p.Snapshot(); got.CPUSeconds != 0 || got.Windows != 0 {
-		t.Errorf("Reset left residue: windows=%d cpu=%.3f", got.Windows, got.CPUSeconds)
+	if err := p.WriteLastProfile(path); err == nil {
+		t.Error("Reset kept the window it cut")
+	}
+	p.Stop()
+
+	timed := Start(Options{Window: 20 * time.Millisecond})
+	defer timed.Stop()
+	for deadline := time.Now().Add(5 * time.Second); timed.WriteLastProfile(path) != nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("a 20ms-window profiler finished no window in 5s")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -240,6 +169,42 @@ func TestWatchdogIncidentBundle(t *testing.T) {
 	}
 }
 
+// TestWatchdogBundleWithProfiler: while the continuous profiler holds the
+// process's one CPU-profile slot, the bundle still gets a cpu.pb.gz, cut
+// from the profiler's live window.
+func TestWatchdogBundleWithProfiler(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cpu profiling skipped in -short")
+	}
+	defer SetEnabled(On())
+	p := Start(Options{Window: 10 * time.Second})
+	defer p.Stop()
+	fired := make(chan Incident, 1)
+	w := NewWatchdog(WatchdogConfig{
+		Multiple:    2,
+		Dir:         t.TempDir(),
+		CheckEvery:  10 * time.Millisecond,
+		MinInterval: time.Millisecond,
+		OnIncident:  func(inc Incident) { fired <- inc },
+	})
+	defer w.Close()
+
+	w.Arm("batch:room0", 5*time.Millisecond)
+	var inc Incident
+	select {
+	case inc = <-fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("watchdog never fired")
+	}
+	if inc.Dir == "" {
+		t.Fatal("incident bundle not written")
+	}
+	if _, err := os.Stat(filepath.Join(inc.Dir, "cpu.pb.gz")); err != nil {
+		st, _ := os.ReadFile(filepath.Join(inc.Dir, "stall.txt"))
+		t.Errorf("bundle has no cpu.pb.gz under a running profiler: %v\n%s", err, st)
+	}
+}
+
 // TestWatchdogRateLimit checks the MaxIncidents cap: stalls past the cap are
 // still reported to OnIncident but write no bundle.
 func TestWatchdogRateLimit(t *testing.T) {
@@ -302,25 +267,6 @@ func TestGCPauseDelta(t *testing.T) {
 	}
 	if p := d.P99Seconds(); p < 0 || p > 10 {
 		t.Errorf("implausible delta p99: %v", p)
-	}
-}
-
-// TestWalkFieldsMalformed checks the proto walker rejects truncated input
-// instead of panicking or looping.
-func TestWalkFieldsMalformed(t *testing.T) {
-	cases := [][]byte{
-		{0x0a},             // length-delimited tag, missing length
-		{0x0a, 0x05, 0x01}, // declared length 5, 1 byte present
-		{0x08},             // varint tag, missing value
-		{0x80},             // unterminated tag varint
-	}
-	for i, data := range cases {
-		if _, err := parseProfileRaw(data); err == nil {
-			t.Errorf("case %d: malformed input parsed without error", i)
-		}
-	}
-	if _, err := parseProfileRaw(nil); err != nil {
-		t.Errorf("empty profile should parse to empty: %v", err)
 	}
 }
 

@@ -13,9 +13,10 @@ import (
 
 // Watchdog detects work items (batches, frames) that make no progress within
 // a multiple of their declared budget and dumps an incident bundle — a
-// goroutine dump, a short CPU profile, and the most recent wide events — to
-// disk so a stalled afterd can be diagnosed post-mortem without a debugger
-// attached at the moment of the stall.
+// goroutine dump, a CPU profile (the continuous profiler's live window when
+// one runs), and the most recent wide events — to disk so a stalled afterd
+// can be diagnosed post-mortem without a debugger attached at the moment of
+// the stall.
 //
 // Usage: Arm before dispatching the work, Disarm when it completes. Both are
 // nil-safe and cheap (one mutex op), so serving paths hold a *Watchdog
@@ -36,10 +37,11 @@ type WatchdogConfig struct {
 	MaxIncidents int
 	// CheckEvery is the scan period. Default 250ms.
 	CheckEvery time.Duration
-	// ProfileFor is the length of the incident CPU profile. Default 250ms.
-	// Best-effort: when another CPU profile is active (the continuous
-	// profiler window, a /debug/pprof scrape) the incident records that
-	// instead of a profile.
+	// ProfileFor is the length of the incident CPU profile when no
+	// continuous profiler runs (with one, the bundle gets its live window
+	// instead). Default 250ms. Best-effort: when another CPU profile is
+	// active (a /debug/pprof scrape) the incident records that instead of a
+	// profile.
 	ProfileFor time.Duration
 	// RecentEvents, when set, supplies the most recent wide-event lines
 	// (newest last) for the bundle's events.jsonl.
@@ -224,15 +226,10 @@ func (w *Watchdog) writeBundle(inc Incident) string {
 	}
 
 	var profNote string
-	var cpu bytes.Buffer
-	if err := pprof.StartCPUProfile(&cpu); err != nil {
+	if cpu, err := w.cpuProfile(); err != nil {
 		profNote = fmt.Sprintf("cpu profile unavailable: %v", err)
-	} else {
-		time.Sleep(w.cfg.ProfileFor)
-		pprof.StopCPUProfile()
-		if err := os.WriteFile(filepath.Join(dir, "cpu.pb.gz"), cpu.Bytes(), 0o644); err != nil {
-			profNote = fmt.Sprintf("cpu profile write failed: %v", err)
-		}
+	} else if err := os.WriteFile(filepath.Join(dir, "cpu.pb.gz"), cpu, 0o644); err != nil {
+		profNote = fmt.Sprintf("cpu profile write failed: %v", err)
 	}
 
 	var g bytes.Buffer
@@ -263,4 +260,21 @@ func (w *Watchdog) writeBundle(inc Incident) string {
 	}
 	_ = os.WriteFile(filepath.Join(dir, "stall.txt"), st.Bytes(), 0o644)
 	return dir
+}
+
+// cpuProfile returns the bundle's CPU profile. The running continuous
+// profiler holds the process's one profile slot, so its live window is cut
+// and copied; without one (or when its window was skipped) the watchdog
+// profiles ProfileFor itself.
+func (w *Watchdog) cpuProfile() ([]byte, error) {
+	if pb := running.Load().control(ctlMsg{}); pb != nil {
+		return pb, nil
+	}
+	var cpu bytes.Buffer
+	if err := pprof.StartCPUProfile(&cpu); err != nil {
+		return nil, err
+	}
+	time.Sleep(w.cfg.ProfileFor)
+	pprof.StopCPUProfile()
+	return cpu.Bytes(), nil
 }

@@ -235,17 +235,6 @@ func (c *Collector) Reset() {
 	c.mu.Unlock()
 }
 
-// SetConfig replaces the collector's configuration (zero fields default) and
-// resets accumulated state, since detector thresholds baked into existing
-// state would no longer match.
-func (c *Collector) SetConfig(cfg Config) {
-	c.mu.Lock()
-	c.cfg = cfg.withDefaults()
-	c.recs = map[string]*recState{}
-	c.alertsTotal = 0
-	c.mu.Unlock()
-}
-
 // Obs handles, cached package-level like every instrumented package does.
 var (
 	obsEpisodes = obs.Default().Counter("quality.episodes")

@@ -11,17 +11,16 @@ import (
 	"strings"
 
 	"after/internal/obs"
-	"after/internal/obs/prof"
 )
 
 // This file is the fused run-report builder behind `aftersim -report`: it
-// scans a directory for the four artifact families the harness writes —
+// scans a directory for the three artifact families the harness writes —
 // OBS_<exp>.json (latency telemetry), QUALITY_<exp>.json (this package's
-// snapshots), BENCH_*.json (the benchmark history), and PROF_<exp>.json
-// (continuous-profiling summaries) — and joins them into one self-contained
-// HTML dashboard. Zero external dependencies: styling is an inline <style>
-// block and every sparkline is inline SVG, so the file renders identically
-// from a CI artifact tab, an email attachment, or file://.
+// snapshots) and BENCH_*.json (the benchmark history) — and joins them into
+// one self-contained HTML dashboard; per-label CPU is `go tool pprof -tags`
+// on the cpu_<exp>.pb.gz profiles. Zero external dependencies: styling is an
+// inline <style> block and every sparkline is inline SVG, so the file renders
+// identically from a CI artifact tab, an email attachment, or file://.
 
 // benchRecord is the slice of exp.BenchReport the report needs. Decoding with
 // a local struct (unknown fields ignored) keeps the dependency arrow pointing
@@ -61,7 +60,6 @@ type reportInputs struct {
 	obsRuns []obsRun
 	quality []qualityRun
 	bench   []benchRecord
-	profs   []profRun
 	skipped []string // unparseable files, noted in the dashboard footer
 }
 
@@ -75,12 +73,6 @@ type qualityRun struct {
 	exp  string
 	file string
 	snap Snapshot
-}
-
-type profRun struct {
-	exp  string
-	file string
-	sum  prof.Summary
 }
 
 // expFromArtifact extracts "table2" from "OBS_table2.json" / "QUALITY_table2.json".
@@ -119,17 +111,15 @@ func scanReportInputs(dir string) (reportInputs, error) {
 				continue
 			}
 			in.quality = append(in.quality, qualityRun{exp: expFromArtifact(name, "QUALITY_"), file: name, snap: s})
-		case strings.HasPrefix(name, "PROF_") && strings.HasSuffix(name, ".json"):
-			var s prof.Summary
-			if err := decodeJSONFile(path, &s); err != nil {
-				in.skipped = append(in.skipped, fmt.Sprintf("%s: %v", name, err))
-				continue
-			}
-			in.profs = append(in.profs, profRun{exp: expFromArtifact(name, "PROF_"), file: name, sum: s})
 		case strings.HasPrefix(name, "BENCH_") && strings.HasSuffix(name, ".json"):
 			var b benchRecord
 			if err := decodeJSONFile(path, &b); err != nil {
 				in.skipped = append(in.skipped, fmt.Sprintf("%s: %v", name, err))
+				continue
+			}
+			// BENCH_serve.json and BENCH_scale.json share the prefix but
+			// carry no stepper rows; they are not -exp bench reports.
+			if len(b.Steppers) == 0 {
 				continue
 			}
 			b.file = name
@@ -138,7 +128,6 @@ func scanReportInputs(dir string) (reportInputs, error) {
 	}
 	sort.Slice(in.obsRuns, func(i, j int) bool { return in.obsRuns[i].exp < in.obsRuns[j].exp })
 	sort.Slice(in.quality, func(i, j int) bool { return in.quality[i].exp < in.quality[j].exp })
-	sort.Slice(in.profs, func(i, j int) bool { return in.profs[i].exp < in.profs[j].exp })
 	// Bench history in chronological order: timestamps are RFC3339, so the
 	// lexicographic order is the time order; ties fall back to the filename.
 	sort.Slice(in.bench, func(i, j int) bool {
@@ -168,8 +157,8 @@ func WriteReport(dir, outPath string) error {
 	if err != nil {
 		return err
 	}
-	if len(in.obsRuns) == 0 && len(in.quality) == 0 && len(in.bench) == 0 && len(in.profs) == 0 {
-		return fmt.Errorf("report: no OBS_*.json, QUALITY_*.json, BENCH_*.json, or PROF_*.json artifacts in %s", dir)
+	if len(in.obsRuns) == 0 && len(in.quality) == 0 && len(in.bench) == 0 {
+		return fmt.Errorf("report: no OBS_*.json, QUALITY_*.json or BENCH_*.json artifacts in %s", dir)
 	}
 	return obs.WriteFileAtomic(outPath, []byte(renderReport(in)))
 }
@@ -274,13 +263,12 @@ code{background:#eef;padding:0 .25em;border-radius:3px}
 footer{margin-top:3rem;font-size:.8rem;color:#889;border-top:1px solid #dde;padding-top:.5rem}
 </style></head><body>
 `)
-	fmt.Fprintf(&b, "<h1>aftersim run report</h1>\n<p class=\"muted\">fused from %s — %d OBS, %d QUALITY, %d BENCH, %d PROF artifact(s)</p>\n",
-		esc(in.dir), len(in.obsRuns), len(in.quality), len(in.bench), len(in.profs))
+	fmt.Fprintf(&b, "<h1>aftersim run report</h1>\n<p class=\"muted\">fused from %s — %d OBS, %d QUALITY, %d BENCH artifact(s)</p>\n",
+		esc(in.dir), len(in.obsRuns), len(in.quality), len(in.bench))
 
 	renderQualitySection(&b, in.quality)
 	renderSLOSection(&b, in.obsRuns)
 	renderObsSection(&b, in.obsRuns)
-	renderProfSection(&b, in.profs)
 	renderBenchSection(&b, in.bench)
 
 	b.WriteString("<footer>")
@@ -474,64 +462,6 @@ func renderObsSection(b *strings.Builder, runs []obsRun) {
 		}
 		b.WriteString("</table>\n")
 	}
-}
-
-// renderProfSection emits one block per PROF_<exp>.json continuous-profiling
-// summary: the per-phase, per-rec and per-room CPU-seconds attribution
-// tables. Symbol-level views come from `go tool pprof` on the raw windows.
-func renderProfSection(b *strings.Builder, runs []profRun) {
-	if len(runs) == 0 {
-		return
-	}
-	b.WriteString("<h2>Continuous profiling</h2>\n")
-	b.WriteString("<p class=\"muted\">Windowed CPU profiles folded by pprof goroutine labels (room, rec, phase). " +
-		"\"Labeled\" counts samples carrying a phase label — the serving/inference path; training and harness overhead are intentionally unlabeled.</p>\n")
-	for _, run := range runs {
-		s := run.sum
-		fmt.Fprintf(b, "<h3>%s <span class=\"muted\">(%s)</span></h3>\n", esc(run.exp), esc(run.file))
-		fmt.Fprintf(b, "<p>%.2fs CPU sampled over %d window(s) of %.0fs; <b>%.1f%%</b> phase-labeled (%.2fs).",
-			s.CPUSeconds, s.Windows, s.WindowSeconds, 100*s.LabeledFraction, s.LabeledSeconds)
-		if s.SkippedWindows > 0 {
-			fmt.Fprintf(b, " <span class=\"alert\">%d window(s) skipped</span> (another CPU profile held the slot).", s.SkippedWindows)
-		}
-		b.WriteString("</p>\n")
-
-		renderSecondsTable(b, "phase", s.ByPhase, s.CPUSeconds)
-		renderSecondsTable(b, "recommender", s.ByRec, s.CPUSeconds)
-		renderSecondsTable(b, "room", s.ByRoom, s.CPUSeconds)
-	}
-}
-
-// renderSecondsTable emits one label-dimension attribution table (phase, rec,
-// or room → CPU seconds), sorted by weight, with the share of total sampled
-// CPU. Empty dimensions are simply absent.
-func renderSecondsTable(b *strings.Builder, dim string, m map[string]float64, total float64) {
-	if len(m) == 0 {
-		return
-	}
-	type kv struct {
-		k string
-		v float64
-	}
-	rows := make([]kv, 0, len(m))
-	for k, v := range m {
-		rows = append(rows, kv{k, v})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].v != rows[j].v {
-			return rows[i].v > rows[j].v
-		}
-		return rows[i].k < rows[j].k
-	})
-	fmt.Fprintf(b, "<table><tr><th>%s</th><th>CPU</th><th>%% of sampled</th></tr>\n", esc(dim))
-	for _, r := range rows {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * r.v / total
-		}
-		fmt.Fprintf(b, "<tr><td>%s</td><td>%.3fs</td><td>%.1f%%</td></tr>\n", esc(r.k), r.v, pct)
-	}
-	b.WriteString("</table>\n")
 }
 
 // renderBenchSection emits the benchmark history as trend rows: one sparkline

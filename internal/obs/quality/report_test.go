@@ -31,9 +31,10 @@ const testBenchJSON = `{
   "notes": ["note one"]
 }`
 
-// TestWriteReportFused: a directory holding all four artifact families plus
+// TestWriteReportFused: a directory holding all three artifact families plus
 // one corrupt file yields a single self-contained HTML page that mentions
-// every input and flags the corrupt one.
+// every input and flags the corrupt one. The serve and scale reports share
+// the BENCH_ prefix but are not bench runs: the history must leave them out.
 func TestWriteReportFused(t *testing.T) {
 	dir := t.TempDir()
 
@@ -61,8 +62,10 @@ func TestWriteReportFused(t *testing.T) {
 	writeFile(t, dir, "BENCH_baseline.json", testBenchJSON)
 	writeFile(t, dir, "BENCH_latest.json", strings.Replace(testBenchJSON,
 		`"timestamp": "2026-01-02T03:04:05Z"`, `"timestamp": "2026-01-03T03:04:05Z"`, 1))
-	writeFile(t, dir, "PROF_table2.json", `{"windows": 1, "cpu_s": 2, "labeled_s": 1, "labeled_fraction": 0.5,
-  "by_phase": {"pdr": 0.75, "lwp": 0.25}, "by_rec": {"POSHGNN": 1}, "by_room": {"room0": 1}}`)
+	writeFile(t, dir, "BENCH_serve.json", `{"title": "afterd under load", "deadline_ms": 50,
+  "rows": [{"pattern": "steady", "offered_rps": 150, "accepted_p99_ms": 20}]}`)
+	writeFile(t, dir, "BENCH_scale.json", `{"timestamp": "2026-01-01T00:00:00Z", "num_cpu": 2,
+  "converter": {"sweep_us": 0}, "steppers": null, "scale": [{"n": 100, "step_us": 66}]}`)
 	writeFile(t, dir, "BENCH_broken.json", `{"timestamp": "2026-`) // torn write
 	writeFile(t, dir, "unrelated.txt", "ignore me")
 
@@ -86,9 +89,8 @@ func TestWriteReportFused(t *testing.T) {
 		"BENCH_broken.json", // corrupt file surfaced in the footer
 		"sim.episodes=7",    // counters line
 		"table2 speedup",    // bench trend row
-		"Continuous profiling",
-		"<td>pdr</td><td>0.750s</td><td>37.5%</td>", // per-phase CPU row
-		"<td>room0</td>",
+		"2 run(s)",          // the two bench reports, not serve or scale
+		"<td>converter sweep (µs)</td><td>120.5</td><td>120.5</td>",
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("report missing %q", want)

@@ -407,19 +407,14 @@ func BuildDOG(target int, tr *crowd.Trajectories, radius float64) *DOG {
 	return d
 }
 
-// PresentSet returns which users exist on the target's viewport given the
-// rendered set: rendered users always, plus — when the target is co-located
-// (MR) — every other MR participant, whose physical body cannot be hidden
-// (the hybrid-participation constraint of Sec. III-A).
-func (g *StaticGraph) PresentSet(rendered []bool, interfaces []Interface) []bool {
-	return g.PresentSetInto(make([]bool, g.N), rendered, interfaces)
-}
-
-// PresentSetInto is PresentSet writing into dst (length N), the
-// allocation-free variant for hot scoring loops. It returns dst.
+// PresentSetInto writes into dst (length N) which users exist on the
+// target's viewport given the rendered set: rendered users always, plus —
+// when the target is co-located (MR) — every other MR participant, whose
+// physical body cannot be hidden (the hybrid-participation constraint of
+// Sec. III-A). It returns dst.
 func (g *StaticGraph) PresentSetInto(dst, rendered []bool, interfaces []Interface) []bool {
 	if len(rendered) != g.N || len(interfaces) != g.N || len(dst) != g.N {
-		panic("occlusion: PresentSet length mismatch")
+		panic("occlusion: PresentSetInto length mismatch")
 	}
 	targetMR := interfaces[g.Target] == MR
 	for w := 0; w < g.N; w++ {

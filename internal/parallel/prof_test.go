@@ -1,14 +1,13 @@
 package parallel
 
 import (
-	"bytes"
-	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"after/internal/obs/prof"
+	"after/internal/obs/prof/proftest"
 )
 
 // TestForEachLabelInheritance pins the mechanism the profiling layer's
@@ -40,35 +39,22 @@ func TestForEachLabelInheritance(t *testing.T) {
 			return
 		}
 		// All workers are parked in fn with whatever labels they inherited;
-		// a goroutine dump reports each blocked goroutine's label set.
-		var buf bytes.Buffer
-		err := pprof.Lookup("goroutine").WriteTo(&buf, 0)
+		// a goroutine profile reports each blocked goroutine's label set.
+		gs, err := proftest.Goroutines()
 		close(release)
 		if err != nil {
 			checked <- err
 			return
 		}
-		p, err := prof.ParseProfile(buf.Bytes())
-		if err != nil {
-			checked <- err
-			return
-		}
-		var labeled, unlabeled int64
-		for _, s := range p.Samples {
-			inWorker := false
-			for _, fn := range s.Stack {
-				if strings.Contains(fn, "TestForEachLabelInheritance") {
-					inWorker = true
-					break
-				}
-			}
-			if !inWorker || len(s.Value) == 0 {
+		var labeled, unlabeled int
+		for _, g := range gs {
+			if !strings.Contains(g.Stack, "TestForEachLabelInheritance") {
 				continue
 			}
-			if s.Label["room"] == "roomX" && s.Label["phase"] == "batch" {
-				labeled += s.Value[0]
+			if g.Labels["room"] == "roomX" && g.Labels["phase"] == "batch" {
+				labeled += g.Count
 			} else {
-				unlabeled += s.Value[0]
+				unlabeled += g.Count
 			}
 		}
 		// The checker goroutine itself and the blocked caller also match the

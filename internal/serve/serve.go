@@ -143,13 +143,13 @@ type Config struct {
 	// Watchdog, when non-nil, is armed around every micro-batch the room
 	// workers process: a batch still running after Multiple× the server's
 	// AbandonAfter grace is a stall, and the watchdog dumps an incident
-	// bundle (goroutines, a short CPU profile, recent wide events). Nil
+	// bundle (goroutines, a CPU profile, recent wide events). Nil
 	// disables stall detection at zero cost.
 	Watchdog *prof.Watchdog
 
-	// Profiler, when non-nil, is the continuous profiler whose aggregate
-	// Drain snapshots as PROF_serve.json (plus the last windowed CPU profile
-	// as cpu_serve.pb.gz) into SnapshotDir alongside the OBS artifact.
+	// Profiler, when non-nil, is the continuous profiler whose live window
+	// Drain cuts and writes as cpu_serve.pb.gz into SnapshotDir alongside
+	// the OBS artifact.
 	Profiler *prof.Profiler
 
 	// Clock overrides wall time in the guards' retry path (tests).
@@ -277,9 +277,6 @@ func (s *Server) Config() Config { return s.cfg }
 // gauges into the default registry.
 func (s *Server) SLO() *slo.Tracker { return s.slo }
 
-// Draining reports whether admissions have been stopped.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // QueueDepth returns the number of requests currently queued across all
 // rooms.
 func (s *Server) QueueDepth() int { return int(s.queued.Load()) }
@@ -388,7 +385,7 @@ func (s *Server) Close() error {
 	return s.Drain(ctx)
 }
 
-// snapshot writes the drain-time OBS/QUALITY artifacts (plus PROF_serve.json
+// snapshot writes the drain-time OBS/QUALITY artifacts (plus cpu_serve.pb.gz
 // when a continuous profiler is attached).
 func (s *Server) snapshot() error {
 	if s.cfg.SnapshotDir == "" {
@@ -405,12 +402,9 @@ func (s *Server) snapshot() error {
 		return fmt.Errorf("serve: drain snapshot: %w", err)
 	}
 	if s.cfg.Profiler != nil {
-		s.cfg.Profiler.Rotate() // fold the live window so the snapshot is current
-		if err := s.cfg.Profiler.WriteJSON(filepath.Join(s.cfg.SnapshotDir, "PROF_serve.json")); err != nil {
-			return fmt.Errorf("serve: drain snapshot: %w", err)
-		}
-		// The raw windowed profile is best-effort: a run whose every window
-		// was skipped (profile slot owned elsewhere) has nothing to write.
+		// Best-effort: a skipped window (profile slot owned elsewhere) has
+		// nothing to write.
+		s.cfg.Profiler.Rotate()
 		_ = s.cfg.Profiler.WriteLastProfile(filepath.Join(s.cfg.SnapshotDir, "cpu_serve.pb.gz"))
 	}
 	return nil
