@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,14 +19,17 @@ import (
 // the goroutines running core/tensor code must carry the session's room
 // label and a known phase label — at one worker (everything on the calling
 // goroutine) and at eight (tensor kernels fanning out over the pool, where
-// labels must survive via goroutine inheritance). A sampler goroutine reads
-// the labels from goroutine profiles taken while the batch steps.
+// labels must survive via goroutine inheritance). The room has 200 users so
+// the batched kernels clear tensor's parallel cutoffs and do fan out; at
+// eight workers at least one sampled pool worker must carry the labels. A
+// sampler goroutine reads the labels from goroutine profiles taken while the
+// batch steps.
 func TestBatchProfLabelPropagation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("goroutine sampling skipped in -short")
 	}
 	room, err := dataset.Generate(dataset.Config{
-		Kind: dataset.Hubs, PlatformUsers: 200, RoomUsers: 20, T: 24, Seed: 424,
+		Kind: dataset.Hubs, PlatformUsers: 400, RoomUsers: 200, T: 8, Seed: 424,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,6 +64,16 @@ func TestBatchProfLabelPropagation(t *testing.T) {
 		}
 		return false
 	}
+	// inPool reports whether a stack is a worker goroutine of a parallel
+	// fan-out (its bottom frame is the pool's worker closure).
+	inPool := func(stack string) bool {
+		for _, fn := range strings.Split(stack, "\n") {
+			if strings.Contains(fn, "internal/parallel.") && strings.Contains(fn, ".func") {
+				return true
+			}
+		}
+		return false
+	}
 	for _, workers := range []int{1, 8} {
 		parallel.WithLimit(workers, func() {
 			bs := m.StartBatchSession(room, BatchOptions{})
@@ -67,9 +81,10 @@ func TestBatchProfLabelPropagation(t *testing.T) {
 			frames := make([]*occlusion.StaticGraph, len(targets))
 
 			stop := make(chan struct{})
+			var poolSeen atomic.Bool
 			type tally struct {
-				core, labeled int
-				err           error
+				core, labeled, pool int
+				err                 error
 			}
 			sampled := make(chan tally, 1)
 			go func() {
@@ -94,6 +109,10 @@ func TestBatchProfLabelPropagation(t *testing.T) {
 						phase := g.Labels["phase"]
 						if g.Labels["room"] == "room7" && g.Labels["rec"] == "POSHGNN" && knownPhases[phase] {
 							n.labeled += g.Count
+							if inPool(g.Stack) {
+								n.pool += g.Count
+								poolSeen.Store(true)
+							}
 						} else if phase != "" && !knownPhases[phase] {
 							n.err = fmt.Errorf("unknown phase label %q", phase)
 						}
@@ -101,8 +120,14 @@ func TestBatchProfLabelPropagation(t *testing.T) {
 					time.Sleep(time.Millisecond)
 				}
 			}()
-			deadline := time.Now().Add(500 * time.Millisecond)
-			for rep := 0; time.Now().Before(deadline); rep++ {
+			// Step for 500ms, and at eight workers on until a labelled pool
+			// worker has been sampled (5s at most).
+			start := time.Now()
+			more := func() bool {
+				d := time.Since(start)
+				return d < 500*time.Millisecond || (workers > 1 && !poolSeen.Load() && d < 5*time.Second)
+			}
+			for rep := 0; more(); rep++ {
 				for st := 0; st < steps; st++ {
 					for i := range targets {
 						frames[i] = dogs[i].Frames[st]
@@ -119,11 +144,14 @@ func TestBatchProfLabelPropagation(t *testing.T) {
 				t.Skipf("workers=%d: no goroutine sampled in the forward (starved runner)", workers)
 			}
 			frac := float64(n.labeled) / float64(n.core)
-			t.Logf("workers=%d: %.1f%% of sampled core goroutines labeled (%d of %d)",
-				workers, 100*frac, n.labeled, n.core)
+			t.Logf("workers=%d: %.1f%% of sampled core goroutines labeled (%d of %d), %d labeled pool workers",
+				workers, 100*frac, n.labeled, n.core, n.pool)
 			if frac < 0.9 {
 				t.Errorf("workers=%d: only %.1f%% of sampled core-path goroutines carry room/phase labels, want >= 90%%",
 					workers, 100*frac)
+			}
+			if workers > 1 && n.pool == 0 {
+				t.Errorf("workers=%d: no sampled pool worker carried the labels; the batch never fanned out, or its workers lost them", workers)
 			}
 		})
 	}

@@ -53,12 +53,11 @@ func (c Config) graceFor(dl time.Duration) time.Duration {
 // deadline-aware retry-with-backoff, the per-step frame deadline raced in a
 // goroutine, demotion down the fallback chain on permanent failure, and the
 // terminal hold-last-rendered-set state. The episode runner drives one Guard
-// over a recorded frame stream; the serving daemon (internal/serve) drives
-// one Guard per live (room, target) session, propagating each request's
-// remaining deadline into Step.
+// over a recorded frame stream; a Room holds one per target of a live room
+// and passes each request's remaining deadline into Step.
 //
 // A Guard is not safe for concurrent use: callers serialize Step per guard
-// (the serving micro-batcher steps each target on exactly one worker).
+// (a Room steps each target on exactly one goroutine).
 type Guard struct {
 	room   *dataset.Room
 	target int
@@ -73,8 +72,8 @@ type Guard struct {
 	lastRendered []bool
 	latePanics   int // consecutive post-deadline panics on the active stepper
 
-	// traceParent parents the guard.step span of the next Step call; the
-	// serving micro-batcher sets its batch span here before each solo step.
+	// traceParent parents the guard.step span of the next Step call; a Room
+	// sets its caller's batch span here before each solo step.
 	traceParent obs.SpanID
 
 	// profLabels is the continuous-profiling attribution handle forwarded to
@@ -83,15 +82,12 @@ type Guard struct {
 	profLabels *prof.Labels
 }
 
-// SetTraceParent parents the guard.step span of subsequent Step calls under
-// parent, hanging the fallback-chain work off the caller's trace. Same
-// single-goroutine contract as Step.
-func (g *Guard) SetTraceParent(parent obs.SpanID) { g.traceParent = parent }
-
-// SetProfLabels forwards the profiling labels to the active stepper (and to
-// every stepper a later demotion starts). Same single-goroutine contract as
-// Step; steppers without the prof.Carrier capability just skip attribution.
-func (g *Guard) SetProfLabels(l *prof.Labels) {
+// carry parents the guard.step span of subsequent Step calls under parent
+// and forwards the profiling labels to the active stepper and to every
+// stepper a later demotion starts. Steppers without the prof.Carrier
+// capability just skip attribution.
+func (g *Guard) carry(parent obs.SpanID, l *prof.Labels) {
+	g.traceParent = parent
 	g.profLabels = l
 	if pc, ok := g.stepper.(prof.Carrier); ok {
 		pc.SetProfLabels(l)
@@ -113,9 +109,6 @@ func NewGuard(rec sim.Recommender, room *dataset.Room, target int, cfg Config) *
 	g.stepper = g.chain[0].StartEpisode(room, target)
 	return g
 }
-
-// Target returns the session's target user.
-func (g *Guard) Target() int { return g.target }
 
 // ServedBy names the recommender currently serving the session, or "hold"
 // once the whole chain is exhausted.
@@ -151,25 +144,6 @@ func (g *Guard) Step(t int, frame *occlusion.StaticGraph, deadline time.Duration
 	return g.acceptOutput(raw)
 }
 
-// OnPrimary reports whether the session is still served by the primary
-// recommender — no demotion has happened and the chain is not exhausted.
-// The serving layer uses it to decide which sessions are eligible for the
-// fused batched pass: a demoted session's fallback recommender has its own
-// per-target state and must keep stepping solo.
-func (g *Guard) OnPrimary() bool { return g.stepper != nil && g.chainIdx == 0 }
-
-// AcceptFresh books a fresh rendered set produced outside the guard's own
-// stepper — the serving layer's fused batched pass — through the same output
-// validation and hold-state update as a successful protected step, so hold
-// and degradation semantics are identical whichever path produced the set.
-func (g *Guard) AcceptFresh(out []bool) ([]bool, bool) { return g.acceptOutput(out) }
-
-// Hold serves the current step from the hold state without touching the
-// stepper. The serving layer uses it when a fused batched pass misses its
-// deadline: the member guards still owe an answer, and stale-with-honest
-// fresh=false is exactly what a solo deadline miss would have produced.
-func (g *Guard) Hold() []bool { return g.degrade() }
-
 // degrade serves the current step from the last good rendered set.
 func (g *Guard) degrade() []bool {
 	g.tly.bump(kindDegradedStep)
@@ -179,7 +153,9 @@ func (g *Guard) degrade() []bool {
 }
 
 // acceptOutput validates a fresh rendered set, repairing a self-rendered
-// target and degrading on structurally broken output.
+// target and degrading on structurally broken output. A Room books its fused
+// pass's sets through it too, so hold and degradation behave the same
+// whichever path produced the set.
 func (g *Guard) acceptOutput(out []bool) ([]bool, bool) {
 	if len(out) != g.room.N {
 		// A stepper returning a malformed set is as bad as one that
@@ -339,8 +315,8 @@ const (
 // own goroutine raced against the dl timer — and classifies the outcome.
 // After a missed deadline it waits cfg's straggler grace for the call to
 // finish. The result is meaningful only with RaceOK. It is the one deadline
-// race behind Guard's protected steps and the serving layer's fused passes;
-// each caller books the outcomes its own way.
+// race behind Guard's protected steps and Room's fused passes; each books
+// the outcomes its own way.
 func Race[T any](cfg Config, dl time.Duration, call func() T) (T, Outcome) {
 	var zero T
 	if dl <= 0 {

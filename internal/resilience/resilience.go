@@ -149,10 +149,6 @@ func (s *Sanitizer) Sanitize(raw []geom.Vec2) (pos []geom.Vec2, repaired bool) {
 	return pos, repaired
 }
 
-// Counters is re-exported for convenience: the runner's tallies are plain
-// metrics.Robustness values.
-type Counters = metrics.Robustness
-
 // kind indexes one intervention class. The runner books every intervention
 // through exactly one code path (tally.bump), which feeds both the episode's
 // metrics.Robustness and the process-wide obs counters — the single source

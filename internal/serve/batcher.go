@@ -38,10 +38,10 @@ type outcome struct {
 // queue drained by one worker goroutine that coalesces whatever is waiting —
 // blocking for the first request, then collecting up to maxBatch more within
 // the max-latency window — and hands each batch to the room session for one
-// fused pass. One worker per room serializes access to the room's stepper
-// sessions (resilience.Guards are single-threaded by contract); cross-room
-// parallelism comes from the server's batch-concurrency semaphore, and
-// within a batch the distinct targets fan out over the worker pool.
+// step call. One worker per room serializes access to the room's
+// resilience.Room (single-threaded by contract); cross-room parallelism
+// comes from the server's batch-concurrency semaphore, and within a batch
+// the frame conversion and the solo steps fan out over the worker pool.
 type batcher struct {
 	rs       *roomSession
 	maxBatch int

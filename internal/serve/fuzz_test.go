@@ -57,10 +57,10 @@ func FuzzHandlerBodies(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, frame, rec []byte) {
-		// Forget the last frame's index so every well-formed body is
-		// applied, whatever its index.
+		// Forget the last frame's index so every well-formed body with a
+		// non-negative index is applied.
 		rs.fmu.Lock()
-		rs.frameIdx = math.MinInt
+		rs.frameIdx = -1
 		rs.fmu.Unlock()
 
 		w := post(t, "/v1/rooms/r/frames", frame)

@@ -1,10 +1,10 @@
 // Package serve is the online serving layer behind cmd/afterd: a
 // long-running HTTP recommendation service with per-room session state.
 // Frame ingestion updates a room's sanitized position snapshot (the live
-// occlusion-graph input); recommendation requests run the room's per-target
-// steppers through a kserve-style micro-batcher that coalesces concurrent
-// requests from the same room into one batched pass under a max-batch-size +
-// max-latency window.
+// occlusion-graph input); recommendation requests reach the room's
+// resilience.Room through a kserve-style micro-batcher that coalesces
+// concurrent requests from the same room into one step call under a
+// max-batch-size + max-latency window.
 //
 // The headline is overload and failure behaviour, not the happy path:
 //
@@ -16,9 +16,10 @@
 //   - deadline propagation — every request carries a deadline (default or
 //     client-set); time spent queueing is charged against it, requests that
 //     expire in the queue are shed, and the remaining budget is propagated
-//     into the resilience.Guard protecting each step, so a slow or
-//     panicking stepper degrades down the POSHGNN → Nearest → hold chain
-//     inside the budget instead of stalling the room;
+//     into the room's resilience.Room, which protects the fused pass and
+//     every per-target step, so a slow or panicking stepper degrades down
+//     the POSHGNN → Nearest → hold chain inside the budget instead of
+//     stalling the room;
 //   - graceful drain — Drain stops admissions, flushes every in-flight
 //     batch so no accepted request is abandoned, snapshots OBS/QUALITY
 //     artifacts, and only then tears down the listener.
@@ -109,8 +110,8 @@ type Config struct {
 	MaxRooms     int
 	MaxRoomUsers int
 
-	// MaxRetries/RetryBackoff/AbandonAfter tune the per-session
-	// resilience.Guard. AbandonAfter defaults to 1.5× DefaultDeadline so a
+	// MaxRetries/RetryBackoff/AbandonAfter tune each room's
+	// resilience.Room. AbandonAfter defaults to 1.5× DefaultDeadline so a
 	// straggling step is cut loose quickly instead of the episode runner's
 	// leisurely 10× grace.
 	MaxRetries   int
@@ -205,7 +206,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// guardConfig is the per-session resilience configuration derived from the
+// guardConfig is the per-room resilience configuration derived from the
 // server config. StepDeadline stays zero: the serving path propagates each
 // request's remaining budget per call instead of pinning one global value.
 func (c Config) guardConfig() resilience.Config {

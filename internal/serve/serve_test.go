@@ -126,7 +126,14 @@ func TestServeAdmissionErrors(t *testing.T) {
 	if _, err := s.Recommend(ctx, "r", 0, 0); apiStatus(err) != http.StatusConflict {
 		t.Fatalf("no frames yet: %v", err)
 	}
+	// A negative frame index is rejected, as a first frame and after one.
+	if _, err := s.IngestFrame("r", math.MinInt, framePos(8, 0)); apiStatus(err) != http.StatusBadRequest {
+		t.Fatalf("first frame index MinInt: %v, want 400", err)
+	}
 	mustFrame(t, s, "r", 0, framePos(8, 0))
+	if _, err := s.IngestFrame("r", -5, framePos(8, 0)); apiStatus(err) != http.StatusBadRequest {
+		t.Fatalf("frame index -5: %v, want 400", err)
+	}
 	if _, err := s.Recommend(ctx, "r", 99, 0); apiStatus(err) != http.StatusBadRequest {
 		t.Fatalf("bad target: %v", err)
 	}
