@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"after/internal/dataset"
 	"after/internal/parallel"
+	"after/internal/sim"
 )
 
 // runScenario drives one server through a fixed request schedule and returns
@@ -205,6 +207,65 @@ func TestBatchDuplicateTargetCoalesced(t *testing.T) {
 	if info.Served != k {
 		t.Fatalf("served %d, want %d", info.Served, k)
 	}
+}
+
+// slowTargetRec is testRec with one slow target.
+type slowTargetRec struct {
+	testRec
+	slow  int
+	delay time.Duration
+}
+
+func (r slowTargetRec) StartEpisode(room *dataset.Room, target int) sim.Stepper {
+	if target == r.slow {
+		return &testStepper{n: room.N, target: target, delay: r.delay}
+	}
+	return r.testRec.StartEpisode(room, target)
+}
+
+// TestBatchSlowTargetHoldsNoOtherBack: on the solo path (a primary that
+// cannot batch), each target is answered when its own step returns. A
+// short-deadline request batched with a slow long-deadline one still comes
+// back within its deadline plus the straggler grace.
+func TestBatchSlowTargetHoldsNoOtherBack(t *testing.T) {
+	const slow, dl = 2 * time.Second, 100 * time.Millisecond
+	s := newTestServer(t, Config{
+		Primary:     slowTargetRec{testRec: testRec{name: "test"}, slow: 1, delay: slow},
+		MaxBatch:    2,
+		BatchWindow: time.Minute,
+		MaxDeadline: time.Minute,
+	})
+	mustCreate(t, s, RoomSpec{Name: "r", Users: 8})
+	mustFrame(t, s, "r", 0, framePos(8, 0))
+
+	parallel.WithLimit(2, func() {
+		slowErr := make(chan error, 1)
+		go func() {
+			_, err := s.Recommend(context.Background(), "r", 1, 10*time.Second)
+			slowErr <- err
+		}()
+		// The slow request waits in the batch window; the fast one fills
+		// the batch.
+		for s.queued.Load() != 1 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		start := time.Now()
+		res, err := s.Recommend(context.Background(), "r", 0, dl)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("fast request: %v", err)
+		}
+		if res.BatchSize != 2 || !res.Fresh {
+			t.Fatalf("fast request %+v, want a fresh result from a batch of 2", res)
+		}
+		// Scheduling slack as in TestServeModel, well under the slow step.
+		if bound := dl + s.cfg.AbandonAfter + 750*time.Millisecond; elapsed > bound {
+			t.Fatalf("fast request took %v, past its bound %v: it waited for the slow target", elapsed, bound)
+		}
+		if err := <-slowErr; err != nil {
+			t.Fatalf("slow request: %v", err)
+		}
+	})
 }
 
 // TestSingleUserTargetEdge: a minimal 2-user room serves a sane result (the
