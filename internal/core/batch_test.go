@@ -280,7 +280,7 @@ func TestBatchStepAllocs(t *testing.T) {
 	for i := range targets {
 		frames[i] = dogs[i].Frames[0]
 	}
-	// Warm-up: populates per-target state, workspace pools, memoized CSRs.
+	// Warm-up: populates per-target state and workspace pools.
 	for st := 0; st < 3; st++ {
 		for i := range targets {
 			frames[i] = dogs[i].Frames[st]

@@ -100,9 +100,9 @@ type POSHGNN struct {
 	pdr1, pdr2       *nn.GraphConv
 	lwp1, lwp2, lwp3 *nn.GraphConv
 
-	// denseAdj routes forward's graph convolutions through the dense
-	// adjacency instead of the CSR kernels. Only in-package reference tests
-	// set it, to pin the sparse path to ≤1e-12 agreement with the dense one.
+	// denseAdj routes forward's graph convolutions through the densified
+	// CSR instead of the sparse kernels. Only in-package reference tests set
+	// it, to pin the sparse path to ≤1e-12 agreement with the dense one.
 	denseAdj bool
 }
 
@@ -161,10 +161,10 @@ func (m *POSHGNN) forward(room *dataset.Room, frame, prev *occlusion.StaticGraph
 
 	// conv dispatches one graph convolution through the sparse CSR kernel
 	// (O(E·d) message passing, backward reuses the symmetric CSR) or, for the
-	// in-package reference tests, the dense adjacency.
+	// in-package reference tests, the densified adjacency.
 	conv := func(gc *nn.GraphConv, in *tensor.Tensor) *tensor.Tensor {
 		if m.denseAdj {
-			return gc.Forward(in, frame.AdjacencyMatrix())
+			return gc.Forward(in, agg.Adj.Dense())
 		}
 		return gc.ForwardSparse(in, agg.Adj)
 	}

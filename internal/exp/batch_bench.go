@@ -46,9 +46,8 @@ const batchBenchReps = 3
 
 // RunBatchedBench measures the batched sweep. Rooms are the synthetic
 // constant-density scaleRoom rooms; each (N, K) cell builds per-target DOGs
-// once and pre-materializes every frame's CSR so all three routes time pure
-// forward-pass work rather than first-touch adjacency construction. Every
-// route reports its best of batchBenchReps runs.
+// once, so all three routes time pure forward-pass work rather than
+// conversion. Every route reports its best of batchBenchReps runs.
 func RunBatchedBench(o Options) ([]BatchBench, error) {
 	o = o.withDefaults()
 	out := make([]BatchBench, 0, len(batchSweepSizes)*len(batchSweepTargets))
@@ -60,9 +59,6 @@ func RunBatchedBench(o Options) ([]BatchBench, error) {
 			for i := range targets {
 				targets[i] = i * n / k
 				dogs[i] = occlusion.BuildDOG(targets[i], room.Traj, room.AvatarRadius)
-				for _, frame := range dogs[i].Frames {
-					frame.AdjacencyCSR()
-				}
 			}
 			row := BatchBench{N: n, Targets: k, Steps: scaleSteps}
 

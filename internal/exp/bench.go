@@ -54,14 +54,14 @@ type BenchReport struct {
 	Notes []string `json:"notes,omitempty"`
 }
 
-// ConverterBench compares the sweep-line BuildStatic against the retained
-// O(N²) brute-force reference on one crowded frame.
+// ConverterBench times the sweep-line BuildStatic on one crowded frame: its
+// wall-clock, heap bytes and allocations per call.
 type ConverterBench struct {
-	N            int     `json:"n"`
-	Edges        int     `json:"edges"`
-	SweepMicros  float64 `json:"sweep_us"`
-	BruteMicros  float64 `json:"brute_us"`
-	SweepSpeedup float64 `json:"sweep_speedup"`
+	N           int     `json:"n"`
+	Edges       int     `json:"edges"`
+	SweepMicros float64 `json:"sweep_us"`
+	BytesPerOp  float64 `json:"sweep_bytes_per_op"`
+	AllocsPerOp float64 `json:"sweep_allocs_per_op"`
 }
 
 // DOGBench times one full trajectory→DOG conversion at the report's scale.
@@ -121,8 +121,8 @@ func RunScaleReport(o Options) (*BenchReport, error) {
 	return r, nil
 }
 
-// benchConverterN is the room size of the sweep-vs-brute comparison — large
-// enough that the asymptotic gap dominates constant factors.
+// benchConverterN is the room size of the converter timing: the paper's
+// Table VI stress size.
 const benchConverterN = 500
 
 // RunBench measures the performance baseline at the given options and
@@ -203,27 +203,32 @@ func benchObsOverhead() string {
 		offCounter, offSpan, onCounter, onHist, onSpan)
 }
 
-// benchConverter times sweep vs brute BuildStatic on one random frame of
-// benchConverterN users and sanity-checks that both produce the same graph.
+// benchConverter times BuildStatic on one random frame of benchConverterN
+// users. Bytes and allocations are the process-wide heap deltas over a run
+// of calls, so anything allocating concurrently adds to them.
 func benchConverter() ConverterBench {
 	rng := rand.New(rand.NewSource(42))
 	positions := make([]geom.Vec2, benchConverterN)
 	for i := range positions {
 		positions[i] = geom.Vec2{X: rng.Float64()*16 - 8, Z: rng.Float64()*16 - 8}
 	}
-	sweepNs := medianNs(5, func() { occlusion.BuildStatic(0, positions, occlusion.DefaultAvatarRadius) })
-	bruteNs := medianNs(5, func() { occlusion.BuildStaticBrute(0, positions, occlusion.DefaultAvatarRadius) })
-	g := occlusion.BuildStatic(0, positions, occlusion.DefaultAvatarRadius)
-	out := ConverterBench{
+	var g *occlusion.StaticGraph
+	build := func() { g = occlusion.BuildStatic(0, positions, occlusion.DefaultAvatarRadius) }
+	ns := medianNs(5, build)
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	return ConverterBench{
 		N:           benchConverterN,
 		Edges:       g.EdgeCount(),
-		SweepMicros: float64(sweepNs) / 1e3,
-		BruteMicros: float64(bruteNs) / 1e3,
+		SweepMicros: float64(ns) / 1e3,
+		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / runs,
+		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / runs,
 	}
-	if sweepNs > 0 {
-		out.SweepSpeedup = float64(bruteNs) / float64(sweepNs)
-	}
-	return out
 }
 
 func benchDOG(room *dataset.Room) DOGBench {
@@ -325,8 +330,8 @@ func (r *BenchReport) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Benchmark baseline (%s, %s/%s, %d CPU, GOMAXPROCS=%d, workers=%d, scale=%.2g quick=%v)\n",
 		r.GoVersion, r.GOOS, r.GOARCH, r.NumCPU, r.GOMAXPROCS, r.ParallelLimit, r.Options.Scale, r.Options.Quick)
-	fmt.Fprintf(&b, "converter N=%d edges=%d: sweep %.0fus vs brute %.0fus (%.1fx)\n",
-		r.Converter.N, r.Converter.Edges, r.Converter.SweepMicros, r.Converter.BruteMicros, r.Converter.SweepSpeedup)
+	fmt.Fprintf(&b, "converter N=%d edges=%d: sweep %.0fus, %.0f B/op, %.1f allocs/op\n",
+		r.Converter.N, r.Converter.Edges, r.Converter.SweepMicros, r.Converter.BytesPerOp, r.Converter.AllocsPerOp)
 	fmt.Fprintf(&b, "dog build N=%d T=%d: %.1fms\n", r.DOG.RoomN, r.DOG.RoomT, r.DOG.WallMs)
 	for _, s := range r.Steppers {
 		fmt.Fprintf(&b, "step %-10s %10.1fus\n", s.Name, s.StepMicros)

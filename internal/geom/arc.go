@@ -24,16 +24,16 @@ func NewArc(center, halfWidth float64) Arc {
 }
 
 // ArcOf returns the arc that a disk of radius r centred at p occupies in the
-// 360-degree view of an observer at eye. This is the occlusion-graph
-// converter's per-user primitive from Sec. III-B: the subtended half-angle
-// of a disk at distance d is asin(r/d), saturating to a full-circle arc when
-// the observer is inside the disk.
-func ArcOf(eye, p Vec2, r float64) Arc {
+// 360-degree view of an observer at eye, and the distance d from eye to p.
+// This is the occlusion-graph converter's per-user primitive from Sec.
+// III-B: the subtended half-angle of a disk at distance d is asin(r/d),
+// saturating to a full-circle arc when the observer is inside the disk.
+func ArcOf(eye, p Vec2, r float64) (Arc, float64) {
 	d := eye.Dist(p)
 	if d <= r {
-		return Arc{Center: 0, HalfWidth: math.Pi}
+		return Arc{Center: 0, HalfWidth: math.Pi}, d
 	}
-	return Arc{Center: p.Sub(eye).Azimuth(), HalfWidth: math.Asin(r / d)}
+	return Arc{Center: p.Sub(eye).Azimuth(), HalfWidth: math.Asin(r / d)}, d
 }
 
 // Full reports whether the arc covers the entire view circle.

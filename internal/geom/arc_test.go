@@ -10,7 +10,10 @@ import (
 func TestArcOfSubtendedAngle(t *testing.T) {
 	eye := Vec2{0, 0}
 	// Disk of radius 1 at distance 2 subtends half-angle asin(1/2) = 30°.
-	a := ArcOf(eye, Vec2{2, 0}, 1)
+	a, d := ArcOf(eye, Vec2{2, 0}, 1)
+	if d != 2 {
+		t.Errorf("distance = %v", d)
+	}
 	if !almostEq(a.Center, 0) {
 		t.Errorf("center = %v", a.Center)
 	}
@@ -20,7 +23,7 @@ func TestArcOfSubtendedAngle(t *testing.T) {
 }
 
 func TestArcOfInsideDiskIsFull(t *testing.T) {
-	a := ArcOf(Vec2{0, 0}, Vec2{0.1, 0}, 0.5)
+	a, _ := ArcOf(Vec2{0, 0}, Vec2{0.1, 0}, 0.5)
 	if !a.Full() {
 		t.Errorf("observer inside disk should yield full arc, got %v", a)
 	}
@@ -137,7 +140,7 @@ func TestArcShrinksWithDistance(t *testing.T) {
 	eye := Vec2{0, 0}
 	prev := math.Pi
 	for d := 0.6; d < 50; d += 0.5 {
-		a := ArcOf(eye, Vec2{d, 0}, 0.5)
+		a, _ := ArcOf(eye, Vec2{d, 0}, 0.5)
 		if a.HalfWidth > prev+eps {
 			t.Fatalf("arc grew with distance at d=%v", d)
 		}

@@ -98,7 +98,7 @@ func FromFlat(v Vec2, y float64) Vec3 { return Vec3{v.X, y, v.Z} }
 
 // NormalizeAngle maps any angle in radians into [0, 2π).
 func NormalizeAngle(a float64) float64 {
-	a = math.Mod(a, 2*math.Pi)
+	a = modTurn(a)
 	if a < 0 {
 		a += 2 * math.Pi
 	}
@@ -107,7 +107,7 @@ func NormalizeAngle(a float64) float64 {
 
 // AngleDiff returns the signed smallest rotation from a to b, in (-π, π].
 func AngleDiff(a, b float64) float64 {
-	d := math.Mod(b-a, 2*math.Pi)
+	d := modTurn(b - a)
 	switch {
 	case d > math.Pi:
 		d -= 2 * math.Pi
@@ -115,6 +115,16 @@ func AngleDiff(a, b float64) float64 {
 		d += 2 * math.Pi
 	}
 	return d
+}
+
+// modTurn is math.Mod(x, 2π). Mod returns x itself when |x| < 2π, the
+// common case for differences of normalized angles, so the call is skipped
+// there with a bit-identical result.
+func modTurn(x float64) float64 {
+	if x > -2*math.Pi && x < 2*math.Pi {
+		return x
+	}
+	return math.Mod(x, 2*math.Pi)
 }
 
 // Clamp limits x to the closed interval [lo, hi].

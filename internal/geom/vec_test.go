@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -167,6 +168,26 @@ func TestAngleDiffSignAndRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestModTurnMatchesMod pins the Mod-free fast path of NormalizeAngle and
+// AngleDiff as exact: bit for bit math.Mod(x, 2π) on random angles in and
+// out of (-2π, 2π), the ±2π boundaries and their neighbors, signed zeros and
+// non-finite inputs.
+func TestModTurnMatchesMod(t *testing.T) {
+	const turn = 2 * math.Pi
+	xs := []float64{0, math.Copysign(0, -1), turn, -turn, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Nextafter(turn, 0), math.Nextafter(-turn, 0), math.Nextafter(turn, 10), math.Nextafter(-turn, -10)}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 100000; i++ {
+		xs = append(xs, (rng.Float64()*2-1)*4*turn)
+	}
+	for _, x := range xs {
+		if got, want := modTurn(x), math.Mod(x, turn); math.Float64bits(got) != math.Float64bits(want) &&
+			!(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("modTurn(%v) = %v, math.Mod = %v", x, got, want)
+		}
 	}
 }
 

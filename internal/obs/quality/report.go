@@ -31,8 +31,8 @@ type benchRecord struct {
 	GoVersion string `json:"go_version"`
 	NumCPU    int    `json:"num_cpu"`
 	Converter struct {
-		SweepMicros  float64 `json:"sweep_us"`
-		SweepSpeedup float64 `json:"sweep_speedup"`
+		SweepMicros float64 `json:"sweep_us"`
+		BytesPerOp  float64 `json:"sweep_bytes_per_op"`
 	} `json:"converter"`
 	DOG struct {
 		WallMs float64 `json:"wall_ms"`
@@ -488,7 +488,7 @@ func renderBenchSection(b *strings.Builder, bench []benchRecord) {
 	}
 	trends := []trend{
 		{"converter sweep (µs)", pull(func(r benchRecord) float64 { return r.Converter.SweepMicros })},
-		{"converter speedup (×)", pull(func(r benchRecord) float64 { return r.Converter.SweepSpeedup })},
+		{"converter sweep (B/op)", pull(func(r benchRecord) float64 { return r.Converter.BytesPerOp })},
 		{"DOG build (ms)", pull(func(r benchRecord) float64 { return r.DOG.WallMs })},
 		{"training (ms)", pull(func(r benchRecord) float64 { return r.Training.WallMs })},
 		{"table2 sequential (ms)", pull(func(r benchRecord) float64 { return r.Table2.SequentialMs })},

@@ -23,7 +23,7 @@ const testBenchJSON = `{
   "timestamp": "2026-01-02T03:04:05Z",
   "go_version": "go1.24.0",
   "num_cpu": 4,
-  "converter": {"sweep_us": 120.5, "sweep_speedup": 8.1},
+  "converter": {"sweep_us": 120.5, "sweep_bytes_per_op": 20480},
   "dog": {"wall_ms": 42.0},
   "steppers": [{"name": "POSHGNN", "step_us": 310.0}, {"name": "Greedy", "step_us": 12.0}],
   "training": {"wall_ms": 900.0},
@@ -91,6 +91,7 @@ func TestWriteReportFused(t *testing.T) {
 		"table2 speedup",    // bench trend row
 		"2 run(s)",          // the two bench reports, not serve or scale
 		"<td>converter sweep (µs)</td><td>120.5</td><td>120.5</td>",
+		"<td>converter sweep (B/op)</td><td>20480.0</td><td>20480.0</td>",
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("report missing %q", want)

@@ -8,13 +8,13 @@ import (
 )
 
 // TestAdjacencyCSRMatchesDense pins the CSR pattern against the dense
-// adjacency on random rooms for both converters (sweep and brute), covering
-// the zero-copy and the concatenating construction paths.
+// adjacency of the neighbor lists on random rooms for both converters (the
+// sweep and the all-pairs specification).
 func TestAdjacencyCSRMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	builders := map[string]func(int, []geom.Vec2, float64) *StaticGraph{
 		"sweep": BuildStatic,
-		"brute": BuildStaticBrute,
+		"brute": buildStaticBrute,
 	}
 	for name, build := range builders {
 		for trial := 0; trial < 20; trial++ {
@@ -28,7 +28,7 @@ func TestAdjacencyCSRMatchesDense(t *testing.T) {
 			if !csr.Symmetric {
 				t.Fatalf("%s: adjacency CSR must be symmetric", name)
 			}
-			dense := g.AdjacencyMatrix()
+			dense := adjacencyMatrix(g)
 			got := csr.Dense()
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
@@ -110,23 +110,30 @@ func TestAdjacencyCSRTargetRowExcluded(t *testing.T) {
 	}
 }
 
-// TestAdjacencyCSRZeroCopy pins the tentpole's zero-copy contract: for
-// sweep-built graphs with at least one edge, the CSR column array must alias
-// the converter's flat neighbor backing array, not a copy.
+// TestAdjacencyCSRZeroCopy pins the one-adjacency-form contract: every
+// neighbor list is a view of the CSR's column array, not a copy, and
+// AdjacencyCSR returns the same CSR on every call.
 func TestAdjacencyCSRZeroCopy(t *testing.T) {
-	pos := []geom.Vec2{{}, {X: 2}, {X: 4}, {Z: 3}}
+	pos := []geom.Vec2{{}, {X: 2}, {X: 4}, {Z: 3}, {X: 3, Z: 0.1}}
 	g := BuildStatic(0, pos, DefaultAvatarRadius)
 	csr := g.AdjacencyCSR()
 	if csr.NNZ() == 0 {
 		t.Fatal("scene unexpectedly edgeless")
 	}
-	if g.flatCol == nil {
-		t.Fatal("sweep converter did not retain its flat neighbor array")
-	}
-	if &csr.Col[0] != &g.flatCol[0] {
-		t.Error("CSR column array is a copy, not the zero-copy flat array")
+	for w := 0; w < g.N; w++ {
+		ns := g.Neighbors(w)
+		lo, hi := csr.RowPtr[w], csr.RowPtr[w+1]
+		if len(ns) != int(hi-lo) {
+			t.Fatalf("user %d: %d neighbors, CSR row holds %d", w, len(ns), hi-lo)
+		}
+		if len(ns) > 0 && &ns[0] != &csr.Col[lo] {
+			t.Errorf("user %d: neighbor list is a copy, not a view of the CSR columns", w)
+		}
+		if cap(ns) != len(ns) {
+			t.Errorf("user %d: neighbor list has capacity %d past its row; an append would overwrite the next row", w, cap(ns))
+		}
 	}
 	if csr != g.AdjacencyCSR() {
-		t.Error("AdjacencyCSR not memoized")
+		t.Error("AdjacencyCSR returned a different CSR on a second call")
 	}
 }

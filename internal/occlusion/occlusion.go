@@ -10,10 +10,12 @@
 //
 // BuildStatic finds the overlapping pairs with an endpoint-sort sweep over
 // the view circle in O(N log N + E) instead of the O(N²) all-pairs arc test
-// (retained as BuildStaticBrute, the reference implementation the property
-// tests compare against). At the paper's Table VI scale (N=500, T=100,
-// several targets) the sweep is what keeps DOG construction off the critical
-// path.
+// (kept in the tests as the specification the sweep must match exactly),
+// and writes them straight into the graph's one adjacency form: a CSR
+// pattern whose rows are the neighbor lists. Its working memory comes from a
+// pool, so a conversion allocates only what the graph keeps. The converter
+// runs once per target per frame when serving, and at the paper's Table VI
+// scale (N=500, T=100, several targets) for every DOG frame.
 package occlusion
 
 import (
@@ -67,27 +69,14 @@ type StaticGraph struct {
 	// Dist[w] is the distance from the target to w; Dist[Target] = 0.
 	Dist []float64
 
-	neighbors [][]int32
-	// flatCol is the single backing array the sweep converter scatters every
-	// neighbor list into (rows concatenated in ascending node order). When
-	// present it doubles as the CSR column array of the adjacency — the
-	// zero-copy hand-off AdjacencyCSR exploits. The brute-force converter
-	// leaves it nil and AdjacencyCSR concatenates instead.
-	flatCol []int32
-
-	// Memoized derived structures: a DOG frame is shared by every
-	// recommender evaluated on the same scene, and before memoization each
-	// of the 4+ GNN methods rebuilt the dense N×N adjacency every step.
-	adjOnce  sync.Once
-	adj      *tensor.Matrix
-	csrOnce  sync.Once
-	csr      *tensor.CSR
-	edgeOnce sync.Once
-	edges    int
+	// adj is A_t as a symmetric implicit-ones CSR pattern: row w is w's
+	// neighbor list in ascending order. The converter writes it once; it is
+	// shared read-only by every caller from then on.
+	adj tensor.CSR
 }
 
 // newStaticGraph validates inputs and fills arcs and distances; the edge
-// structure is left to the caller (sweep or brute force).
+// structure is left to the caller.
 func newStaticGraph(target int, positions []geom.Vec2, radius float64) *StaticGraph {
 	n := len(positions)
 	if target < 0 || target >= n {
@@ -97,19 +86,16 @@ func newStaticGraph(target int, positions []geom.Vec2, radius float64) *StaticGr
 		panic("occlusion: non-positive avatar radius")
 	}
 	g := &StaticGraph{
-		N:         n,
-		Target:    target,
-		Arcs:      make([]geom.Arc, n),
-		Dist:      make([]float64, n),
-		neighbors: make([][]int32, n),
+		N:      n,
+		Target: target,
+		Arcs:   make([]geom.Arc, n),
+		Dist:   make([]float64, n),
 	}
 	eye := positions[target]
 	for w := 0; w < n; w++ {
-		if w == target {
-			continue
+		if w != target {
+			g.Arcs[w], g.Dist[w] = geom.ArcOf(eye, positions[w], radius)
 		}
-		g.Arcs[w] = geom.ArcOf(eye, positions[w], radius)
-		g.Dist[w] = eye.Dist(positions[w])
 	}
 	return g
 }
@@ -117,195 +103,151 @@ func newStaticGraph(target int, positions []geom.Vec2, radius float64) *StaticGr
 // BuildStatic converts a snapshot of user positions into the target user's
 // static occlusion graph. radius is the avatar disk radius. Edges are found
 // with the endpoint-sort sweep; the result is the identical edge set the
-// brute-force converter produces (a property the tests enforce against
-// BuildStaticBrute on random rooms, wrap-around arcs included).
+// all-pairs arc test produces (a property the tests and FuzzBuildStatic
+// enforce, wrap-around arcs included).
 func BuildStatic(target int, positions []geom.Vec2, radius float64) *StaticGraph {
 	g := newStaticGraph(target, positions, radius)
-	g.buildNeighborsSweep()
+	s := sweeps.Get().(*sweep)
+	s.findEdges(g)
+	s.writeCSR(g)
+	sweeps.Put(s)
 	return g
 }
 
-// BuildStaticBrute is the original O(N²) all-pairs converter, retained as
-// the executable specification of the edge relation: the sweep must agree
-// with it bit-for-bit. It remains useful for tiny rooms and as the baseline
-// side of BenchmarkBuildStatic.
-func BuildStaticBrute(target int, positions []geom.Vec2, radius float64) *StaticGraph {
-	g := newStaticGraph(target, positions, radius)
-	for i := 0; i < g.N; i++ {
-		if i == target {
-			continue
-		}
-		for j := i + 1; j < g.N; j++ {
-			if j == target {
-				continue
-			}
-			if g.Arcs[i].Overlaps(g.Arcs[j]) {
-				g.neighbors[i] = append(g.neighbors[i], int32(j))
-				g.neighbors[j] = append(g.neighbors[j], int32(i))
-			}
-		}
-	}
-	return g
+// sweep is the converter's working memory, pooled so that a conversion
+// allocates only the graph, its arcs and distances, and the CSR.
+type sweep struct {
+	full  []int32  // users whose arc covers the whole circle
+	keys  []uint64 // start<<32 | user per proper arc: sorted, then doubled
+	width []uint32 // per user: the width of its candidate interval
+	pairs []int32  // confirmed edges, two endpoints each
+	next  []int32  // per user: the next free slot of its row
+	raw   []int32  // per user: neighbors in discovery order, rows as in the CSR
 }
 
-// sweepSlack inflates the candidate intervals of the sweep so that floating
-// rounding in angle normalization and the 1e-12 tolerance inside
-// geom.Arc.Overlaps can never hide a true edge from the candidate pass. The
-// exact Overlaps predicate then filters candidates, so the final edge set
-// matches the brute-force reference exactly.
-const sweepSlack = 1e-9
+var sweeps = sync.Pool{New: func() any { return new(sweep) }}
 
-// buildNeighborsSweep fills g.neighbors with the occlusion edges in
-// O(N log N + E): arcs become closed angular intervals, interval starts are
-// sorted once, and each arc scans only the starts that fall inside its own
-// (slack-inflated) interval. Two circular arcs intersect exactly when one's
-// start lies inside the other, so every true edge is enumerated at least
-// once; a symmetric membership test dedups pairs found from both sides, and
-// the exact Arc.Overlaps predicate confirms each candidate.
+// unitsPerRad is the sweep's fixed-point angle scale: 2³² units per turn,
+// so forward distances on the circle are plain wrapping uint32 subtraction.
+const unitsPerRad = (1 << 32) / (2 * math.Pi)
+
+// findEdges collects the occlusion edges of g into s.pairs in
+// O(N log N + E). Each proper arc becomes a candidate interval
+// [start, start+width] in fixed point: the start rounded down, the width
+// rounded up plus 2 units, so neither the float rounding of the start nor
+// the 1e-12 tolerance inside geom.Arc.Overlaps can hide a true edge. Starts
+// are sorted once, and each arc scans forward only the starts inside its
+// own interval: two circular arcs intersect exactly when one's start lies
+// inside the other, so every edge is a candidate at least once. A candidate
+// start 2 units inside both ends of the interval is an edge whatever the
+// rounding; Overlaps itself settles the few in the slack band, so the edge
+// set is exactly the all-pairs one.
 //
-// Full arcs (users standing within the avatar radius of the eye) cover the
-// whole circle and overlap everyone; they are linked directly, which also
-// handles co-located users at distance ≈ 0.
-func (g *StaticGraph) buildNeighborsSweep() {
-	n := g.N
-	// Partition non-target users into full arcs and proper arcs.
-	full := make([]int32, 0, 4)
-	items := make([]int32, 0, n-1)
-	for w := 0; w < n; w++ {
-		if w == g.Target {
-			continue
-		}
-		if g.Arcs[w].Full() {
+// Full arcs (users within the avatar radius of the eye, co-located ones
+// included) overlap everyone and are linked directly.
+func (s *sweep) findEdges(g *StaticGraph) {
+	full, keys, pairs := s.full[:0], s.keys[:0], s.pairs[:0]
+	width := grow(s.width, g.N)
+	for w, a := range g.Arcs {
+		switch {
+		case w == g.Target:
+		case a.Full():
 			full = append(full, int32(w))
-		} else {
-			items = append(items, int32(w))
+		default:
+			// ArcOf's half-widths are at most π/2, so the width fits.
+			start := uint32(uint64(geom.NormalizeAngle(a.Center-a.HalfWidth) * unitsPerRad))
+			width[w] = uint32(math.Ceil(2*a.HalfWidth*unitsPerRad)) + 2
+			keys = append(keys, uint64(start)<<32|uint64(w))
 		}
 	}
-
-	// Confirmed edges accumulate as (a, b) pairs in one flat buffer; the
-	// adjacency is materialized afterwards in two linear passes. Growing a
-	// single buffer is far cheaper than growing N little per-node slices
-	// (the former allocation hotspot of the converter).
-	pairs := make([]int32, 0, 8*n)
-
-	// Full arcs overlap every other user (Arc.Overlaps short-circuits on
-	// Full). Link full×full and full×proper directly.
-	for i, f := range full {
-		for _, h := range full[i+1:] {
+	for k, f := range full {
+		for _, h := range full[k+1:] {
 			pairs = append(pairs, f, h)
 		}
-		for _, w := range items {
-			pairs = append(pairs, f, w)
+		for _, key := range keys {
+			pairs = append(pairs, f, int32(uint32(key)))
 		}
 	}
 
-	if len(items) > 1 {
-		// Inflated interval of arc w: [start[w], start[w]+width[w]] mod 2π.
-		start := make([]float64, n)
-		width := make([]float64, n)
-		for _, w := range items {
-			a := g.Arcs[w]
-			start[w] = geom.NormalizeAngle(a.Center - a.HalfWidth - sweepSlack)
-			width[w] = 2 * (a.HalfWidth + sweepSlack)
-		}
-		// member reports whether angle s lies in arc w's inflated interval,
-		// measured as the forward (ccw) distance from the interval start.
-		member := func(s float64, w int32) bool {
-			d := s - start[w]
-			if d < 0 {
-				d += 2 * math.Pi
+	// Ties in start stay ordered by user, which the dedup rule below needs:
+	// a user whose start equals i's but whose index is lower sorts before
+	// i, so i's scan meets it only at the end of the cycle.
+	slices.Sort(keys)
+	m := len(keys)
+	// Doubling the sorted keys turns the cyclic scan into a linear one.
+	keys = append(keys, keys...)
+	arcs := g.Arcs
+	for p, ki := range keys[:m] {
+		si, i := uint32(ki>>32), int32(uint32(ki))
+		wi, arcI := width[i], arcs[i]
+		// Forward distances from si grow along the scan, so it stops at the
+		// first start outside i's interval.
+		for _, kj := range keys[p+1 : p+m] {
+			sj := uint32(kj >> 32)
+			d := sj - si
+			if d > wi {
+				break
 			}
-			return d <= width[w]
-		}
-		order := make([]int32, len(items))
-		copy(order, items)
-		slices.SortFunc(order, func(a, b int32) int {
-			if start[a] != start[b] {
-				if start[a] < start[b] {
-					return -1
-				}
-				return 1
+			j := int32(uint32(kj))
+			// A pair both scans reach is emitted by the lower index only:
+			// si inside j's interval means j's scan reaches i. That is
+			// rare (tied starts, or two near-half-circle arcs), so it is
+			// tested first.
+			if si-sj <= width[j] && j < i {
+				continue
 			}
-			return int(a - b)
-		})
-		// Doubling the sorted arrays turns the cyclic scan into a straight
-		// linear one (no modulo on the hot path).
-		m := len(order)
-		order2 := make([]int32, 2*m)
-		starts2 := make([]float64, 2*m)
-		for k, w := range order {
-			order2[k], order2[k+m] = w, w
-			starts2[k], starts2[k+m] = start[w], start[w]
-		}
-		for p, i := range order {
-			// Scan forward cyclically while starts stay inside i's interval.
-			// Starts are sorted, so the forward distance grows monotonically
-			// over one full cycle and the scan stops at the first miss.
-			si, wi := start[i], width[i]
-			arcI := g.Arcs[i]
-			for q := p + 1; q < p+m; q++ {
-				d := starts2[q] - si
-				if d < 0 {
-					d += 2 * math.Pi
-				}
-				if d > wi {
-					break
-				}
-				j := order2[q]
-				// Dedup pairs that each find the other: the lower index wins
-				// the right to emit.
-				if j < i && member(si, j) {
-					continue
-				}
-				if arcI.Overlaps(g.Arcs[j]) {
-					pairs = append(pairs, i, j)
-				}
+			// A start 2 units inside both ends of i's interval lies inside
+			// i's arc whatever the rounding, so Overlaps would accept it;
+			// only the slack band needs the exact predicate.
+			if (d >= 2 && d+5 <= wi) || arcI.Overlaps(arcs[j]) {
+				pairs = append(pairs, i, j)
 			}
 		}
 	}
+	s.full, s.keys, s.width, s.pairs = full, keys, width, pairs
+}
 
-	// Materialize the adjacency from the pair buffer in CSR form, each list
-	// in canonical ascending order (what the brute-force nested loop
-	// produced), so downstream iteration is reproducible and the two
-	// converters are directly comparable. Pass 1 counts degrees, pass 2
-	// scatters the raw lists into one flat backing array, pass 3 transposes:
-	// visiting sources u in ascending order appends each u to its neighbors'
-	// lists already sorted — no per-list sort needed (the former profile
-	// hotspot).
-	deg := make([]int32, n)
+// writeCSR turns s.pairs into g's adjacency, each row in ascending order:
+// rowPtr from the degrees, then the neighbors scattered into raw rows in
+// discovery order, then transposed into the CSR columns. Visiting sources u
+// in ascending order appends each u to its neighbors' rows already sorted,
+// and the graph is symmetric, so row w ends up exactly N(w) ascending.
+func (s *sweep) writeCSR(g *StaticGraph) {
+	n, pairs := g.N, s.pairs
+	rowPtr := make([]int32, n+1)
 	for _, w := range pairs {
-		deg[w]++
+		rowPtr[w+1]++
 	}
-	entries := len(pairs) // each pair contributes one entry per endpoint
-	raw := make([]int32, entries)
-	cursor := make([]int32, n)
-	off := int32(0)
 	for w := 0; w < n; w++ {
-		cursor[w] = off
-		off += deg[w]
+		rowPtr[w+1] += rowPtr[w]
 	}
-	rawStart := make([]int32, n)
-	copy(rawStart, cursor)
-	for k := 0; k < len(pairs); k += 2 {
+	next := append(s.next[:0], rowPtr[:n]...)
+	raw := grow(s.raw, len(pairs))
+	for k := 0; k+1 < len(pairs); k += 2 {
 		a, b := pairs[k], pairs[k+1]
-		raw[cursor[a]] = b
-		cursor[a]++
-		raw[cursor[b]] = a
-		cursor[b]++
+		raw[next[a]] = b
+		next[a]++
+		raw[next[b]] = a
+		next[b]++
 	}
-	flat := make([]int32, entries)
-	sorted := make([][]int32, n)
-	for w := 0; w < n; w++ {
-		base := rawStart[w]
-		sorted[w] = flat[base : base : base+deg[w]]
-	}
+	col := make([]int32, len(pairs))
+	copy(next, rowPtr[:n])
 	for u := int32(0); int(u) < n; u++ {
-		for _, w := range raw[rawStart[u]:cursor[u]] {
-			sorted[w] = append(sorted[w], u)
+		for _, w := range raw[rowPtr[u]:rowPtr[u+1]] {
+			col[next[w]] = u
+			next[w]++
 		}
 	}
-	g.neighbors = sorted
-	g.flatCol = flat
+	s.next, s.raw = next, raw
+	g.adj = tensor.CSR{Rows: n, Cols: n, RowPtr: rowPtr, Col: col, Symmetric: true}
+}
+
+// grow returns buf resized to n, reallocating only when it is too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // Occludes reports whether users i and j overlap in the target's view (the
@@ -317,67 +259,24 @@ func (g *StaticGraph) Occludes(i, j int) bool {
 	return g.Arcs[i].Overlaps(g.Arcs[j])
 }
 
-// Neighbors returns the occlusion neighbors of w in ascending order. The
-// slice is owned by the graph; callers must not mutate it.
-func (g *StaticGraph) Neighbors(w int) []int32 { return g.neighbors[w] }
-
-// EdgeCount returns the number of occlusion edges (memoized).
-func (g *StaticGraph) EdgeCount() int {
-	g.edgeOnce.Do(func() {
-		total := 0
-		for _, ns := range g.neighbors {
-			total += len(ns)
-		}
-		g.edges = total / 2
-	})
-	return g.edges
+// Neighbors returns the occlusion neighbors of w in ascending order: row w
+// of the adjacency CSR. The slice is owned by the graph; callers must not
+// mutate it.
+func (g *StaticGraph) Neighbors(w int) []int32 {
+	lo, hi := g.adj.RowPtr[w], g.adj.RowPtr[w+1]
+	return g.adj.Col[lo:hi:hi]
 }
+
+// EdgeCount returns the number of occlusion edges.
+func (g *StaticGraph) EdgeCount() int { return len(g.adj.Col) / 2 }
 
 // AdjacencyCSR returns A_t as a symmetric implicit-ones CSR pattern, the
-// form every GNN path consumes: message passing is per-edge work, so the
-// sparse kernels never pay the O(N²) a densified adjacency costs. For
-// sweep-built graphs the column array is the converter's existing flat
-// neighbor array — a zero-copy hand-off; brute-built graphs concatenate
-// their per-node lists once. The CSR is memoized and shared by every caller
+// one adjacency form: message passing is per-edge work, so the sparse
+// kernels never pay the O(N²) a densified adjacency costs. The converter
+// built it; every call returns the same CSR, shared by every caller
 // (several recommenders step the same frame), so it must be treated as
 // read-only; all kernels do.
-func (g *StaticGraph) AdjacencyCSR() *tensor.CSR {
-	g.csrOnce.Do(func() {
-		rowPtr := make([]int32, g.N+1)
-		total := 0
-		for w, ns := range g.neighbors {
-			total += len(ns)
-			rowPtr[w+1] = int32(total)
-		}
-		col := g.flatCol
-		if col == nil || len(col) != total {
-			col = make([]int32, 0, total)
-			for _, ns := range g.neighbors {
-				col = append(col, ns...)
-			}
-		}
-		g.csr = tensor.NewCSR(g.N, g.N, rowPtr, col, nil, true)
-	})
-	return g.csr
-}
-
-// AdjacencyMatrix materializes A_t as a dense 0/1 matrix. It is retained as
-// a test/compat helper (property tests pin the sparse forward against it,
-// and the `-exp scale` harness times the dense path it used to power); the
-// inference and training paths consume AdjacencyCSR instead. The matrix is
-// memoized and shared, so callers must treat it as read-only.
-func (g *StaticGraph) AdjacencyMatrix() *tensor.Matrix {
-	g.adjOnce.Do(func() {
-		a := tensor.NewMatrix(g.N, g.N)
-		for i, ns := range g.neighbors {
-			for _, j := range ns {
-				a.Set(i, int(j), 1)
-			}
-		}
-		g.adj = a
-	})
-	return g.adj
-}
+func (g *StaticGraph) AdjacencyCSR() *tensor.CSR { return &g.adj }
 
 // DOG is the dynamic occlusion graph O^v = (V, E^v, T) of Definition 4: one
 // static occlusion graph per time step, all for the same target user.
@@ -455,7 +354,7 @@ func (g *StaticGraph) VisibleSetInto(dst, present, rendered []bool, interfaces [
 			continue
 		}
 		dst[w] = true
-		for _, u := range g.neighbors[w] {
+		for _, u := range g.Neighbors(w) {
 			if present[u] {
 				dst[w] = false
 				break
@@ -484,7 +383,7 @@ func (g *StaticGraph) PhysicalMask(interfaces []Interface) []float64 {
 		if !targetMR {
 			continue
 		}
-		for _, u := range g.neighbors[w] {
+		for _, u := range g.Neighbors(w) {
 			if int(u) != g.Target && interfaces[u] == MR {
 				mask[w] = 0
 				break

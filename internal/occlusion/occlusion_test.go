@@ -55,7 +55,7 @@ func TestAdjacencyMatrixMatchesEdges(t *testing.T) {
 		pos[i] = geom.Vec2{X: rng.Float64() * 10, Z: rng.Float64() * 10}
 	}
 	g := BuildStatic(3, pos, DefaultAvatarRadius)
-	a := g.AdjacencyMatrix()
+	a := adjacencyMatrix(g)
 	for i := 0; i < g.N; i++ {
 		for j := 0; j < g.N; j++ {
 			want := 0.0

@@ -7,7 +7,39 @@ import (
 	"testing/quick"
 
 	"after/internal/geom"
+	"after/internal/tensor"
 )
+
+// buildStaticBrute is the O(N²) all-pairs converter, the executable
+// specification of the edge relation: the sweep must reproduce it bit for
+// bit. Each row is filled in ascending order straight from Occludes.
+func buildStaticBrute(target int, positions []geom.Vec2, radius float64) *StaticGraph {
+	g := newStaticGraph(target, positions, radius)
+	rowPtr := make([]int32, g.N+1)
+	var col []int32
+	for i := 0; i < g.N; i++ {
+		for j := 0; j < g.N; j++ {
+			if g.Occludes(i, j) {
+				col = append(col, int32(j))
+			}
+		}
+		rowPtr[i+1] = int32(len(col))
+	}
+	g.adj = tensor.CSR{Rows: g.N, Cols: g.N, RowPtr: rowPtr, Col: col, Symmetric: true}
+	return g
+}
+
+// adjacencyMatrix materializes g's neighbor lists as a dense 0/1 matrix,
+// the reference the CSR and the edge predicate are checked against.
+func adjacencyMatrix(g *StaticGraph) *tensor.Matrix {
+	a := tensor.NewMatrix(g.N, g.N)
+	for i := 0; i < g.N; i++ {
+		for _, j := range g.Neighbors(i) {
+			a.Set(i, int(j), 1)
+		}
+	}
+	return a
+}
 
 // graphsEqual reports whether two static graphs over the same users have the
 // identical adjacency structure, returning a description of the first
@@ -65,7 +97,7 @@ func TestSweepMatchesBruteProperty(t *testing.T) {
 		}
 		target := rng.Intn(n)
 		sweep := BuildStatic(target, positions, radius)
-		brute := BuildStaticBrute(target, positions, radius)
+		brute := buildStaticBrute(target, positions, radius)
 		return graphsEqual(t, sweep, brute)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
@@ -86,7 +118,7 @@ func TestSweepMatchesBruteWrapAround(t *testing.T) {
 		positions = append(positions, geom.Vec2{X: d * math.Cos(theta), Z: d * math.Sin(theta)})
 	}
 	sweep := BuildStatic(0, positions, DefaultAvatarRadius)
-	brute := BuildStaticBrute(0, positions, DefaultAvatarRadius)
+	brute := buildStaticBrute(0, positions, DefaultAvatarRadius)
 	if !graphsEqual(t, sweep, brute) {
 		t.Fatal("wrap-around edge sets differ")
 	}
@@ -111,7 +143,7 @@ func TestSweepMatchesBruteCoLocated(t *testing.T) {
 		{X: 0.1, Z: 0.0001}, // just outside the avatar radius of the eye
 	}
 	sweep := BuildStatic(0, positions, DefaultAvatarRadius)
-	brute := BuildStaticBrute(0, positions, DefaultAvatarRadius)
+	brute := buildStaticBrute(0, positions, DefaultAvatarRadius)
 	if !graphsEqual(t, sweep, brute) {
 		t.Fatal("co-located edge sets differ")
 	}
@@ -119,6 +151,51 @@ func TestSweepMatchesBruteCoLocated(t *testing.T) {
 	for _, w := range []int{1, 2} {
 		if got := len(sweep.Neighbors(w)); got != len(positions)-2 {
 			t.Fatalf("full-arc user %d has %d neighbors, want %d", w, got, len(positions)-2)
+		}
+	}
+}
+
+// TestSweepMatchesBruteNearTangent pins the candidate filter inside the
+// sweep's rounding slack: pairs of users whose arcs overlap, touch, or miss
+// by less than the few fixed-point units (1.46e-9 rad each) by which a
+// candidate interval is widened. Only the exact Overlaps predicate
+// separates these pairs, so the sweep must defer to it there: at the end of
+// a wide arc's interval, and at its start, where a sub-unit arc can round
+// onto the same start and still end before it.
+func TestSweepMatchesBruteNearTangent(t *testing.T) {
+	for _, sc := range []struct {
+		name     string
+		radius   float64
+		d1, d2   float64 // distances of each pair's first and second user
+		after    bool    // the second arc starts gap after the first ends, else ends gap before it starts
+		gaps     []float64
+		minEdges int
+	}{
+		{"interval end", DefaultAvatarRadius, 4, 4, true,
+			[]float64{-4e-9, -2e-9, -1e-9, -3e-12, 0, 5e-13, 2e-12, 5e-10, 1e-9, 2e-9, 3e-9, 4.5e-9}, 6},
+		{"interval start", 1e-9, 0.1, 10, false,
+			[]float64{-1e-10, -5e-11, 0, 5e-13, 1e-10, 2e-10, 3e-10, 4e-10, 5e-10, 7e-10, 1e-9}, 4},
+	} {
+		h1, h2 := math.Asin(sc.radius/sc.d1), math.Asin(sc.radius/sc.d2)
+		positions := []geom.Vec2{{}} // target at the origin
+		for k, gap := range sc.gaps {
+			// One pair per 0.5 rad, the first touching the 0/2π seam.
+			c1 := float64(k)*0.5 - h1
+			c2 := c1 + h1 + gap + h2
+			if !sc.after {
+				c2 = c1 - h1 - gap - h2
+			}
+			positions = append(positions,
+				geom.Vec2{X: sc.d1 * math.Cos(c1), Z: sc.d1 * math.Sin(c1)},
+				geom.Vec2{X: sc.d2 * math.Cos(c2), Z: sc.d2 * math.Sin(c2)})
+		}
+		sweep := BuildStatic(0, positions, sc.radius)
+		brute := buildStaticBrute(0, positions, sc.radius)
+		if !graphsEqual(t, sweep, brute) {
+			t.Fatalf("%s: near-tangent edge sets differ", sc.name)
+		}
+		if e := brute.EdgeCount(); e != sc.minEdges {
+			t.Fatalf("%s: %d edges among %d pairs, want the %d with gap ≤ 1e-12", sc.name, e, len(sc.gaps), sc.minEdges)
 		}
 	}
 }
@@ -131,4 +208,19 @@ func clamp01(v float64) float64 {
 	}
 	v = math.Abs(v)
 	return v - math.Floor(v)
+}
+
+// BenchmarkBuildStaticBrute times the all-pairs specification on the
+// crowded 500-user frame of the root package's BenchmarkBuildStatic, the
+// baseline of the sweep's asymptotic win.
+func BenchmarkBuildStaticBrute(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	positions := make([]geom.Vec2, 500)
+	for i := range positions {
+		positions[i] = geom.Vec2{X: rng.Float64()*16 - 8, Z: rng.Float64()*16 - 8}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buildStaticBrute(0, positions, DefaultAvatarRadius)
+	}
 }

@@ -10,8 +10,8 @@ import (
 // DOG frames. Row i's structural nonzeros are Col[RowPtr[i]:RowPtr[i+1]]
 // (ascending column order by convention); Val holds the matching values, or
 // is nil for a binary pattern whose nonzeros are implicitly 1 — the
-// adjacency case, which then shares the occlusion converter's flat neighbor
-// array zero-copy.
+// adjacency case, where the occlusion converter writes the CSR directly and
+// its neighbor lists are views of Col.
 //
 // Message passing is a per-edge computation, so every kernel here is O(E·d)
 // instead of the O(N²·d) a densified adjacency costs; that asymptotic gap is
