@@ -140,7 +140,11 @@ func (r *Room) Step(t int, targets []int, pos []geom.Vec2, budgets []time.Durati
 			fused = len(members)
 		}
 	}
-	parallel.ForEach(len(solo), func(j int) {
+	// Each guard step already races its own goroutine under its deadline
+	// timer, so the fan-out is not bounded by the worker pool: a bound
+	// would only queue a short-deadline target behind slower ones. It
+	// starts at most one goroutine per distinct target in the batch.
+	parallel.ForEachN(len(solo), len(solo), func(j int) {
 		i := solo[j]
 		g := gs[i]
 		g.carry(parent, labels)

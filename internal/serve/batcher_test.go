@@ -226,8 +226,17 @@ func (r slowTargetRec) StartEpisode(room *dataset.Room, target int) sim.Stepper 
 // TestBatchSlowTargetHoldsNoOtherBack: on the solo path (a primary that
 // cannot batch), each target is answered when its own step returns. A
 // short-deadline request batched with a slow long-deadline one still comes
-// back within its deadline plus the straggler grace.
+// back within its deadline plus the straggler grace, whatever the worker
+// pool's size: one worker (a GOMAXPROCS=1 host) as well as two.
 func TestBatchSlowTargetHoldsNoOtherBack(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			slowTargetHoldsNoOtherBack(t, workers)
+		})
+	}
+}
+
+func slowTargetHoldsNoOtherBack(t *testing.T, workers int) {
 	const slow, dl = 2 * time.Second, 100 * time.Millisecond
 	s := newTestServer(t, Config{
 		Primary:     slowTargetRec{testRec: testRec{name: "test"}, slow: 1, delay: slow},
@@ -238,7 +247,7 @@ func TestBatchSlowTargetHoldsNoOtherBack(t *testing.T) {
 	mustCreate(t, s, RoomSpec{Name: "r", Users: 8})
 	mustFrame(t, s, "r", 0, framePos(8, 0))
 
-	parallel.WithLimit(2, func() {
+	parallel.WithLimit(workers, func() {
 		slowErr := make(chan error, 1)
 		go func() {
 			_, err := s.Recommend(context.Background(), "r", 1, 10*time.Second)

@@ -260,6 +260,37 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
+// TestCancelledCallerGetsNoSlot: a request whose caller has already left
+// is answered "client cancelled" without taking a queue slot, so its target
+// is never stepped or booked as served.
+func TestCancelledCallerGetsNoSlot(t *testing.T) {
+	s := newTestServer(t, Config{})
+	mustCreate(t, s, RoomSpec{Name: "r", Users: 8})
+	mustFrame(t, s, "r", 0, framePos(8, 0))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := s.QueueDepth()
+	_, err := s.Recommend(ctx, "r", 1, time.Second)
+	if ae, ok := err.(*APIError); !ok || ae.Status != http.StatusServiceUnavailable || ae.Msg != "client cancelled" {
+		t.Fatalf("cancelled call returned %v, want 503 client cancelled", err)
+	}
+	if got := s.QueueDepth(); got != before {
+		t.Fatalf("queue depth %d after the cancelled call, want %d", got, before)
+	}
+	// The room worker serves its queue in order, so once a live call is
+	// answered an admitted cancelled one would have been served before it.
+	if _, err := s.Recommend(context.Background(), "r", 2, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.RoomInfo("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Served != 1 {
+		t.Fatalf("room served %d requests, want only the live one", info.Served)
+	}
+}
+
 // TestDrainLifecycle: drain flips readiness, sheds new work with
 // Retry-After, flushes queued requests, writes snapshots, and is idempotent.
 func TestDrainLifecycle(t *testing.T) {

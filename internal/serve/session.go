@@ -343,6 +343,11 @@ func (s *Server) recommend(ctx context.Context, start time.Time, spanID obs.Span
 		return RecResult{}, &APIError{Status: http.StatusConflict, Msg: "room has no frames yet; POST positions first"}
 	}
 
+	// A caller that has already left gets no queue slot: its target would
+	// be stepped and booked as served for no one.
+	if ctx.Err() != nil {
+		return RecResult{}, &APIError{Status: http.StatusServiceUnavailable, Msg: "client cancelled"}
+	}
 	// Admission: global bound first (503 — the process is overloaded), then
 	// the room queue (429 — this room is hot; the client should back off).
 	if int(s.queued.Load()) >= s.cfg.GlobalQueue {
