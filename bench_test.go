@@ -343,9 +343,9 @@ func BenchmarkOcclusionGraph(b *testing.B) {
 	}
 }
 
-// BenchmarkMWISExact measures the exact branch-and-bound solver on a
-// 200-node occlusion graph (COMURNet's inner loop).
-func BenchmarkMWISExact(b *testing.B) {
+// paperMWIS is target 0's oracle instance on the paper room's first frame:
+// its preferences as weights over the frame's CSR.
+func paperMWIS(b *testing.B) *mwis.Problem {
 	room, err := paperRoom()
 	if err != nil {
 		b.Fatal(err)
@@ -355,14 +355,15 @@ func BenchmarkMWISExact(b *testing.B) {
 	for w := 0; w < room.N; w++ {
 		weights[w] = room.Pref(0, w)
 	}
-	prob := mwis.NewProblem(weights)
-	for i := 0; i < room.N; i++ {
-		for _, j := range g.Neighbors(i) {
-			if int(j) > i {
-				prob.AddEdge(i, int(j))
-			}
-		}
-	}
+	adj := g.AdjacencyCSR()
+	return mwis.NewProblem(weights, adj.RowPtr, adj.Col)
+}
+
+// BenchmarkMWISExact measures the exact branch-and-bound solver on a
+// 200-node occlusion graph (COMURNet's inner loop).
+func BenchmarkMWISExact(b *testing.B) {
+	prob := paperMWIS(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mwis.BranchAndBound(prob, 60_000)
@@ -372,23 +373,8 @@ func BenchmarkMWISExact(b *testing.B) {
 // BenchmarkMWISGreedy measures the greedy + local-search heuristic on the
 // same instance.
 func BenchmarkMWISGreedy(b *testing.B) {
-	room, err := paperRoom()
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := occlusion.BuildStatic(0, room.Traj.Pos[0], room.AvatarRadius)
-	weights := make([]float64, room.N)
-	for w := 0; w < room.N; w++ {
-		weights[w] = room.Pref(0, w)
-	}
-	prob := mwis.NewProblem(weights)
-	for i := 0; i < room.N; i++ {
-		for _, j := range g.Neighbors(i) {
-			if int(j) > i {
-				prob.AddEdge(i, int(j))
-			}
-		}
-	}
+	prob := paperMWIS(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mwis.LocalSearch(prob, mwis.Greedy(prob))

@@ -123,14 +123,8 @@ func (s *comurSession) solve(frame *occlusion.StaticGraph) []bool {
 		jitter := 1 + s.noise*(2*s.rng.Float64()-1)
 		weights[w] = (1 - s.beta) * s.room.Pref(s.target, w) * jitter
 	}
-	prob := mwis.NewProblem(weights)
-	for i := 0; i < n; i++ {
-		for _, j := range frame.Neighbors(i) {
-			if int(j) > i {
-				prob.AddEdge(i, int(j))
-			}
-		}
-	}
+	adj := frame.AdjacencyCSR()
+	prob := mwis.NewProblem(weights, adj.RowPtr, adj.Col)
 	res := mwis.BranchAndBound(prob, s.budget)
 	// Keep the K heaviest members (the fixed action budget).
 	sort.Slice(res.Set, func(a, b int) bool { return weights[res.Set[a]] > weights[res.Set[b]] })

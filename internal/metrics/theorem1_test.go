@@ -63,14 +63,8 @@ func TestTheorem1Equivalence(t *testing.T) {
 		for w := 1; w < n; w++ {
 			weights[w] = room.Pref(0, w)
 		}
-		prob := mwis.NewProblem(weights)
-		for i := 0; i < n; i++ {
-			for _, j := range frame.Neighbors(i) {
-				if int(j) > i {
-					prob.AddEdge(i, int(j))
-				}
-			}
-		}
+		adj := frame.AdjacencyCSR()
+		prob := mwis.NewProblem(weights, adj.RowPtr, adj.Col)
 		res := mwis.BranchAndBound(prob, 0)
 		if !res.Optimal {
 			t.Fatal("MWIS not solved to optimality on tiny instance")

@@ -22,15 +22,15 @@ func randomArcs(rng *rand.Rand, n int) ([]geom.Arc, []float64) {
 
 // problemFromArcs materializes the intersection graph for the B&B solver.
 func problemFromArcs(arcs []geom.Arc, weights []float64) *Problem {
-	p := NewProblem(weights)
+	b := newBuilder(weights)
 	for i := range arcs {
 		for j := i + 1; j < len(arcs); j++ {
 			if arcs[i].Overlaps(arcs[j]) {
-				p.AddEdge(i, j)
+				b.AddEdge(i, j)
 			}
 		}
 	}
-	return p
+	return b.problem()
 }
 
 // TestCircularArcMatchesBranchAndBound cross-checks the polynomial solver

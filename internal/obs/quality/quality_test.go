@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -133,6 +134,30 @@ func TestOracleSkipsHugeRooms(t *testing.T) {
 		if k != OracleNone {
 			t.Fatalf("step %d oracled (%v) above HeuristicMaxN", i, k)
 		}
+	}
+}
+
+// TestStepOracleAllocs pins the oracle's allocations on one frame of the
+// paper's N=200 Timik room for a remote (VR) target, the frame kind where
+// greedy + local search run on every step.
+func TestStepOracleAllocs(t *testing.T) {
+	room, err := dataset.Generate(dataset.Config{Kind: dataset.Timik, T: 1, Seed: 901})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := slices.Index(room.Interfaces, occlusion.VR)
+	frame := occlusion.BuildStatic(target, room.Traj.Pos[0], room.AvatarRadius)
+	prev := make([]bool, room.N)
+	for w := range prev {
+		prev[w] = w%3 == 0
+	}
+	cfg := DefaultConfig()
+	if _, kind := stepOracleValue(room, frame, prev, 0.5, cfg); kind != OracleHeuristic {
+		t.Fatalf("oracle kind %v on an N=%d frame, want heuristic", kind, room.N)
+	}
+	allocs := testing.AllocsPerRun(20, func() { stepOracleValue(room, frame, prev, 0.5, cfg) })
+	if allocs > 24 {
+		t.Errorf("stepOracleValue allocates %v times per call, budget 24", allocs)
 	}
 }
 

@@ -68,14 +68,8 @@ func stepOracleValue(room *dataset.Room, frame *occlusion.StaticGraph,
 	if !positive {
 		return 0, OracleExact // nothing has value; the optimum is trivially 0
 	}
-	p := mwis.NewProblem(weights)
-	for w := 0; w < n; w++ {
-		for _, u := range frame.Neighbors(w) {
-			if int(u) > w {
-				p.AddEdge(w, int(u))
-			}
-		}
-	}
+	adj := frame.AdjacencyCSR()
+	p := mwis.NewProblem(weights, adj.RowPtr, adj.Col)
 	if n <= cfg.ExactOracleMaxN {
 		res := mwis.BranchAndBound(p, cfg.OracleNodeBudget)
 		if res.Optimal {
