@@ -341,7 +341,8 @@ func TestHugeDeadlineClampsToMax(t *testing.T) {
 // TestBatchSpanLinksMemberRequests is the tentpole acceptance test: N
 // concurrent requests coalesce into ONE fused batch, and the exported trace
 // must contain one serve.batch span with a cross-goroutine link from every
-// member's serve.request span — at one batch-processing slot and at eight.
+// member's serve.request span, and one room.convert child for the batch's
+// frame conversion — at one batch-processing slot and at eight.
 func TestBatchSpanLinksMemberRequests(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(map[int]string{1: "concurrency-1", 8: "concurrency-8"}[workers], func(t *testing.T) {
@@ -437,6 +438,17 @@ func TestBatchSpanLinksMemberRequests(t *testing.T) {
 				} else if to != batch {
 					t.Fatalf("requests link to different batches (%d vs %d) — coalescing broke", to, batch)
 				}
+			}
+			// The fused members' frames are built in one fan-out under the
+			// batch: exactly one conversion span.
+			converts := 0
+			for _, ev := range doc.TraceEvents {
+				if ev.Ph == "X" && ev.Name == "room.convert" && argU64(ev.Args, "parent") == batch {
+					converts++
+				}
+			}
+			if converts != 1 {
+				t.Fatalf("serve.batch span %d has %d room.convert children, want 1", batch, converts)
 			}
 		})
 	}
