@@ -1,11 +1,14 @@
 package mwis
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"after/internal/dataset"
 	"after/internal/geom"
+	"after/internal/occlusion"
 )
 
 // randomArcs draws n random arcs and weights, mimicking view arcs of users
@@ -33,27 +36,104 @@ func problemFromArcs(arcs []geom.Arc, weights []float64) *Problem {
 	return b.problem()
 }
 
-// TestCircularArcMatchesBranchAndBound cross-checks the polynomial solver
-// against the exact B&B on random instances.
+// edgeCaseArcs draws n arcs and weights that reach the solver's edge cases:
+// full arcs, arcs that start exactly where another ends (or end where it
+// starts), arcs that straddle or touch the 0/2π seam, co-located duplicates,
+// and weights with zeros, negatives and exact ties.
+func edgeCaseArcs(rng *rand.Rand, n int) ([]geom.Arc, []float64) {
+	arcs := make([]geom.Arc, n)
+	weights := make([]float64, n)
+	for i := range arcs {
+		h := 0.02 + rng.Float64()*0.6
+		if rng.Intn(8) == 0 {
+			h = rng.Float64() * math.Pi
+		}
+		switch k := rng.Intn(10); {
+		case k == 0:
+			arcs[i] = geom.Arc{Center: rng.Float64() * 2 * math.Pi, HalfWidth: math.Pi}
+		case k == 1 && i > 0:
+			a := arcs[rng.Intn(i)]
+			arcs[i] = geom.NewArc(a.Center+a.HalfWidth+h, h)
+		case k == 2 && i > 0:
+			a := arcs[rng.Intn(i)]
+			arcs[i] = geom.NewArc(a.Center-a.HalfWidth-h, h)
+		case k == 3 && i > 0:
+			arcs[i] = arcs[rng.Intn(i)]
+		case k == 4:
+			arcs[i] = geom.NewArc((2*rng.Float64()-1)*h, h)
+		case k == 5:
+			arcs[i] = geom.NewArc(float64(1-2*rng.Intn(2))*h, h)
+		default:
+			arcs[i] = geom.NewArc(rng.Float64()*2*math.Pi, h)
+		}
+		switch k := rng.Intn(8); {
+		case k == 0:
+			weights[i] = 0
+		case k == 1:
+			weights[i] = -rng.Float64()
+		case k == 2:
+			weights[i] = float64(1 + rng.Intn(3))
+		case k == 3 && i > 0:
+			weights[i] = weights[rng.Intn(i)]
+		default:
+			weights[i] = rng.Float64()
+		}
+	}
+	return arcs, weights
+}
+
+// checkAgainstBranchAndBound requires SolveCircularArc's set to be
+// independent in prob, to weigh what it reports, and to weigh what
+// branch and bound proves optimal.
+func checkAgainstBranchAndBound(t *testing.T, name string, prob *Problem, arcs []geom.Arc, weights []float64) {
+	t.Helper()
+	set, w := SolveCircularArc(arcs, weights)
+	if !prob.IsIndependent(set) {
+		t.Fatalf("%s: set %v not independent", name, set)
+	}
+	if got := prob.SetWeight(set); math.Abs(got-w) > 1e-9 {
+		t.Fatalf("%s: reported weight %v != set weight %v", name, w, got)
+	}
+	res := BranchAndBound(prob, 0)
+	if !res.Optimal {
+		t.Fatalf("%s: B&B did not finish", name)
+	}
+	if math.Abs(w-res.Weight) > 1e-9 {
+		t.Fatalf("%s: circular %v != B&B %v", name, w, res.Weight)
+	}
+}
+
+// TestCircularArcMatchesBranchAndBound holds the polynomial solver to the
+// exact B&B: on 10,000 seeded instances of 1 to 24 edge-case arcs, and on
+// every frame of three 24-user Timik rooms, all targets and all steps,
+// where independence is checked in the frame's own CSR.
 func TestCircularArcMatchesBranchAndBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + rng.Intn(16)
-		arcs, weights := randomArcs(rng, n)
-		set, w := SolveCircularArc(arcs, weights)
-		prob := problemFromArcs(arcs, weights)
-		if !prob.IsIndependent(set) {
-			t.Fatalf("trial %d: circular-arc set not independent", trial)
+	for trial := 0; trial < 10_000; trial++ {
+		arcs, weights := edgeCaseArcs(rng, 1+rng.Intn(24))
+		checkAgainstBranchAndBound(t, fmt.Sprintf("trial %d", trial),
+			problemFromArcs(arcs, weights), arcs, weights)
+	}
+	for _, seed := range []int64{901, 921, 941} {
+		room, err := dataset.Generate(dataset.Config{Kind: dataset.Timik, RoomUsers: 24, T: 40, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.Abs(prob.SetWeight(set)-w) > 1e-9 {
-			t.Fatalf("trial %d: reported weight %v != set weight %v", trial, w, prob.SetWeight(set))
-		}
-		res := BranchAndBound(prob, 0)
-		if !res.Optimal {
-			t.Fatal("B&B did not finish")
-		}
-		if math.Abs(w-res.Weight) > 1e-9 {
-			t.Fatalf("trial %d: circular %v != B&B %v", trial, w, res.Weight)
+		weights := make([]float64, room.N)
+		for target := 0; target < room.N; target++ {
+			for step, pos := range room.Traj.Pos {
+				frame := occlusion.BuildStatic(target, pos, room.AvatarRadius)
+				mask := frame.PhysicalMask(room.Interfaces)
+				for w := range weights {
+					weights[w] = mask[w] * 0.5 * room.Pref(target, w)
+					if rng.Intn(3) == 0 {
+						weights[w] += mask[w] * 0.5 * room.Social(target, w)
+					}
+				}
+				adj := frame.AdjacencyCSR()
+				checkAgainstBranchAndBound(t, fmt.Sprintf("seed %d target %d step %d", seed, target, step),
+					NewProblem(weights, adj.RowPtr, adj.Col), frame.Arcs, weights)
+			}
 		}
 	}
 }
