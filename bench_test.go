@@ -343,9 +343,9 @@ func BenchmarkOcclusionGraph(b *testing.B) {
 	}
 }
 
-// paperMWIS is target 0's oracle instance on the paper room's first frame:
-// its preferences as weights over the frame's CSR.
-func paperMWIS(b *testing.B) *mwis.Problem {
+// paperFrame is target 0's oracle instance on the paper room's first frame:
+// the frame, and its preferences as weights.
+func paperFrame(b *testing.B) (*occlusion.StaticGraph, []float64) {
 	room, err := paperRoom()
 	if err != nil {
 		b.Fatal(err)
@@ -355,6 +355,12 @@ func paperMWIS(b *testing.B) *mwis.Problem {
 	for w := 0; w < room.N; w++ {
 		weights[w] = room.Pref(0, w)
 	}
+	return g, weights
+}
+
+// paperMWIS is paperFrame's instance as a problem on the frame's CSR.
+func paperMWIS(b *testing.B) *mwis.Problem {
+	g, weights := paperFrame(b)
 	adj := g.AdjacencyCSR()
 	return mwis.NewProblem(weights, adj.RowPtr, adj.Col)
 }
@@ -370,14 +376,25 @@ func BenchmarkMWISExact(b *testing.B) {
 	}
 }
 
-// BenchmarkMWISGreedy measures the greedy + local-search heuristic on the
-// same instance.
+// BenchmarkMWISGreedy measures the greedy + local-search heuristic that
+// seeds branch and bound's incumbent, on the same instance.
 func BenchmarkMWISGreedy(b *testing.B) {
 	prob := paperMWIS(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mwis.LocalSearch(prob, mwis.Greedy(prob))
+	}
+}
+
+// BenchmarkMWISCircular measures the exact circular-arc solver, the quality
+// layer's per-step oracle, on the same instance.
+func BenchmarkMWISCircular(b *testing.B) {
+	g, weights := paperFrame(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mwis.SolveCircularArc(g.Arcs, weights)
 	}
 }
 

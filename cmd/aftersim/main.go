@@ -348,7 +348,7 @@ func writeProfile(p *prof.Profiler, id string) {
 
 // qualityGate compares the run's oracle-regret rates against a checked-in
 // QUALITY baseline snapshot: any recommender whose regret rate (fraction of
-// achievable utility left on the table, oracle-covered steps only) worsens by
+// achievable utility left on the table) worsens by
 // more than 5% relative (plus a small absolute slack for near-zero baselines)
 // fails the run. Regret is deterministic for seeded runs, but like the bench
 // gate this downgrades to advisory on single-vCPU machines, where CI baseline
@@ -365,7 +365,7 @@ func qualityGate(baselinePath string, snap quality.Snapshot) (string, error) {
 	var regs []string
 	for name, cur := range snap.Recommenders {
 		ref, ok := base.Recommenders[name]
-		if !ok || ref.Regret.Kind == "none" || cur.Regret.Kind == "none" {
+		if !ok {
 			continue
 		}
 		limit := ref.Regret.Rate*1.05 + 1e-3

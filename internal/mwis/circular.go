@@ -2,138 +2,160 @@ package mwis
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"after/internal/geom"
 )
 
 // SolveCircularArc computes an exact maximum-weight independent set for a
-// circular-arc graph in polynomial time. Static occlusion graphs are
-// exactly circular-arc graphs (Sec. III-B), so while MWIS is NP-hard on
-// general geometric intersection graphs (Theorem 1), the single-target
-// single-step instances admit this O(n² log n) exact oracle — used by tests
-// and the optimality-gap benchmarks to measure how close recommenders come
-// to the per-step optimum.
+// circular-arc graph in O(n log n + c·n) time, c being the number of arcs
+// that cross angle 0. Static occlusion graphs are exactly circular-arc
+// graphs (Sec. III-B), so while MWIS is NP-hard on general geometric
+// intersection graphs (Theorem 1), the single-target single-step instances
+// admit this exact solver — the quality layer's per-step oracle.
 //
 // arcs[i] is vertex i's view arc and weights[i] its utility; entries with
-// non-positive weight are ignored. Returns the chosen vertices (sorted) and
-// their total weight.
+// non-positive weight are ignored. Two arcs conflict exactly when
+// geom.Arc.Overlaps says so: arcs are closed, with its 1e-12 slack, so
+// touching arcs conflict. Returns the chosen vertices (sorted) and their
+// total weight.
 //
-// The algorithm conditions on the arcs covering a reference angle θ₀: any
-// independent set holds at most one of them (they pairwise overlap at θ₀).
-// Case "none chosen" cuts the circle at θ₀ and solves weighted interval
-// scheduling; case "arc a chosen" removes a and everything overlapping it
-// and solves interval scheduling on the remaining gap.
+// The arcs that cover angle 0 all overlap there, so a set holds at most one
+// of them. Every other arc unrolls onto [0, 2π] and is sorted by end once.
+// Weighted interval scheduling over that order solves the case "no crossing
+// arc chosen"; the same order restricted to the gap a crossing arc leaves
+// solves "that arc chosen". Only the winning case is traced back, and the
+// working memory comes from a pool, so a call allocates only the set.
 func SolveCircularArc(arcs []geom.Arc, weights []float64) ([]int, float64) {
-	n := len(arcs)
-	if len(weights) != n {
+	if len(weights) != len(arcs) {
 		panic("mwis: SolveCircularArc weight/arc length mismatch")
 	}
-	active := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if weights[i] > 0 {
-			active = append(active, i)
+	s := circularScratches.Get().(*circularScratch)
+	defer circularScratches.Put(s)
+	cross, keys := s.cross[:0], s.keys[:0]
+	for i, a := range arcs {
+		switch {
+		case weights[i] <= 0:
+		case a.Full() || a.Contains(0):
+			cross = append(cross, i)
+		default:
+			// Fixed-point end (2³²−1 units per turn) above the index.
+			end := geom.NormalizeAngle(a.Center-a.HalfWidth) + 2*a.HalfWidth
+			keys = append(keys, uint64(end*((1<<32-1)/(2*math.Pi)))<<32|uint64(i))
 		}
 	}
-	if len(active) == 0 {
-		return nil, 0
-	}
-
-	// θ₀ = 0. crossing = active arcs containing θ₀ (full arcs always do).
-	var crossing, clear []int
-	for _, i := range active {
-		if arcs[i].Full() || arcs[i].Contains(0) {
-			crossing = append(crossing, i)
-		} else {
-			clear = append(clear, i)
+	slices.Sort(keys)
+	// Truncation keeps the key order monotone in the exact end, so one
+	// insertion pass only reorders runs of equal keys.
+	ivs := s.ivs[:0]
+	for _, key := range keys {
+		i := int(uint32(key))
+		start := geom.NormalizeAngle(arcs[i].Center - arcs[i].HalfWidth)
+		iv := interval{start, start + 2*arcs[i].HalfWidth, weights[i], i}
+		k := len(ivs)
+		ivs = append(ivs, iv)
+		for ; k > 0 && ivs[k-1].end > iv.end; k-- {
+			ivs[k] = ivs[k-1]
 		}
+		ivs[k] = iv
 	}
-
-	bestSet, bestW := intervalMWIS(arcs, weights, clear, 0, 2*math.Pi)
-
-	for _, a := range crossing {
-		// Choose a: keep clear arcs that do not overlap a, restricted to
-		// the gap the circle leaves outside a.
-		var rest []int
-		for _, i := range clear {
-			if !arcs[i].Overlaps(arcs[a]) {
-				rest = append(rest, i)
-			}
-		}
-		// The gap outside arc a starts at its end and wraps to its start.
-		gapStart := geom.NormalizeAngle(arcs[a].Center + arcs[a].HalfWidth)
-		set, w := intervalMWIS(arcs, weights, rest, gapStart, 2*math.Pi-arcs[a].Width())
-		w += weights[a]
-		if w > bestW {
-			bestW = w
-			bestSet = append(append([]int(nil), set...), a)
-		}
-	}
-	sort.Ints(bestSet)
-	return bestSet, bestW
-}
-
-// intervalMWIS solves weighted interval scheduling for the given candidate
-// arcs, unrolled onto the line starting at cut (every candidate must fit in
-// the window [cut, cut+span] modulo 2π; callers guarantee this). Intervals
-// are closed: touching endpoints conflict, matching Arc.Overlaps.
-func intervalMWIS(arcs []geom.Arc, weights []float64, cands []int, cut, span float64) ([]int, float64) {
-	if len(cands) == 0 {
-		return nil, 0
-	}
-	type iv struct {
-		id   int
-		s, e float64
-	}
-	ivs := make([]iv, 0, len(cands))
-	for _, i := range cands {
-		s := geom.NormalizeAngle(arcs[i].Center - arcs[i].HalfWidth - cut)
-		e := s + arcs[i].Width()
-		ivs = append(ivs, iv{id: i, s: s, e: e})
-	}
-	sort.Slice(ivs, func(a, b int) bool { return ivs[a].e < ivs[b].e })
-
-	const tol = 1e-12
-	m := len(ivs)
-	// prev[i] = largest j < i with ivs[j].e < ivs[i].s - tol, else -1.
-	prev := make([]int, m)
-	ends := make([]float64, m)
-	for i := range ivs {
-		ends[i] = ivs[i].e
-	}
-	for i := range ivs {
-		lo, hi := 0, i-1
-		prev[i] = -1
-		for lo <= hi {
-			mid := (lo + hi) / 2
-			if ends[mid] < ivs[i].s-tol {
-				prev[i] = mid
+	// prev[k] counts the arcs that end before arc k starts: the ones it
+	// can join.
+	prev := s.prev[:0]
+	for k, iv := range ivs {
+		lo, hi := 0, k
+		for lo < hi {
+			if mid := (lo + hi) / 2; ivs[mid].end < iv.start-overlapSlack {
 				lo = mid + 1
 			} else {
-				hi = mid - 1
+				hi = mid
 			}
 		}
+		prev = append(prev, int32(lo))
 	}
-	dp := make([]float64, m+1)
-	take := make([]bool, m)
-	for i := 1; i <= m; i++ {
-		skip := dp[i-1]
-		with := weights[ivs[i-1].id] + dp[prev[i-1]+1]
-		if with > skip {
-			dp[i] = with
-			take[i-1] = true
-		} else {
-			dp[i] = skip
+	s.cross, s.keys, s.ivs, s.prev = cross, keys, ivs, prev
+
+	best, bestW := -1, s.schedule(math.Inf(-1), math.Inf(1))
+	for _, a := range cross {
+		if w := s.schedule(gap(arcs[a])) + weights[a]; w > bestW {
+			best, bestW = a, w
 		}
 	}
-	var set []int
-	for i := m; i > 0; {
-		if take[i-1] {
-			set = append(set, ivs[i-1].id)
-			i = prev[i-1] + 1
+	lo, hi := math.Inf(-1), math.Inf(1)
+	if best >= 0 {
+		lo, hi = gap(arcs[best])
+	}
+	set := s.trace(lo, hi)
+	if best >= 0 {
+		set = append(set, best)
+	}
+	slices.Sort(set)
+	s.set = set
+	return slices.Clone(set), bestW
+}
+
+// overlapSlack is geom.Arc.Overlaps's tolerance: arcs closer than it
+// conflict.
+const overlapSlack = 1e-12
+
+// gap returns the open stretch (lo, hi) of the unrolled circle that a
+// crossing arc leaves free: it covers [c−h, c+h] around angle 0, with its
+// centre c taken in (−π, π].
+func gap(a geom.Arc) (lo, hi float64) {
+	c := geom.AngleDiff(0, a.Center)
+	return c + a.HalfWidth + overlapSlack, 2*math.Pi + c - a.HalfWidth - overlapSlack
+}
+
+// interval is one unrolled arc that does not cross angle 0.
+type interval struct {
+	start, end, weight float64
+	id                 int
+}
+
+// circularScratch is SolveCircularArc's working memory: the crossing arcs,
+// the sort keys, the other arcs in end order with their predecessor
+// counts, the scheduling table and the traced set.
+type circularScratch struct {
+	cross []int
+	keys  []uint64
+	ivs   []interval
+	prev  []int32
+	dp    []float64
+	set   []int
+}
+
+var circularScratches = sync.Pool{New: func() any { return new(circularScratch) }}
+
+// schedule runs weighted interval scheduling over the arcs, in end order,
+// that lie inside (lo, hi), leaving dp[k] the best weight among the first k.
+func (s *circularScratch) schedule(lo, hi float64) float64 {
+	dp := append(s.dp[:0], 0)
+	best := 0.0
+	for k, iv := range s.ivs {
+		if iv.end >= hi {
+			break
+		}
+		if w := iv.weight + dp[s.prev[k]]; iv.start > lo && w > best {
+			best = w
+		}
+		dp = append(dp, best)
+	}
+	s.dp = dp
+	return best
+}
+
+// trace reruns schedule(lo, hi) and recovers the set behind its optimum.
+func (s *circularScratch) trace(lo, hi float64) []int {
+	s.schedule(lo, hi)
+	set := s.set[:0]
+	for k := len(s.dp) - 1; k > 0; {
+		if iv := s.ivs[k-1]; iv.start > lo && iv.weight+s.dp[s.prev[k-1]] > s.dp[k-1] {
+			set = append(set, iv.id)
+			k = int(s.prev[k-1])
 		} else {
-			i--
+			k--
 		}
 	}
-	return set, dp[m]
+	return set
 }

@@ -4,16 +4,19 @@
 //
 //   - the hard-constraint COMURNet stand-in, which must find a maximum-
 //     preference, strictly occlusion-free rendering set each step; and
-//   - an upper-bound oracle used by tests and benchmarks to quantify how
-//     close learned recommenders come to optimal single-step quality.
+//   - the quality layer's per-step oracle, which measures how close
+//     recommenders come to optimal single-step quality.
 //
-// A Problem views the frame's symmetric CSR adjacency. The greedy and
-// local-search heuristics walk it with incremental degree and neighbour
-// counts, so a pick or a move costs O(N + E) at most. The exact solver is
-// branch and bound over bitsets with a remaining-weight bound; it is
-// intentionally exponential in the worst case (that is the point of the
+// A Problem views the frame's symmetric CSR adjacency. COMURNet's exact
+// solver is branch and bound over bitsets with a remaining-weight bound; it
+// is intentionally exponential in the worst case (that is the point of the
 // paper's practicality argument) but accepts a node budget so callers keep
-// control of wall-clock time.
+// control of wall-clock time. Its incumbent starts from the greedy and
+// local-search heuristics, which walk the CSR with incremental degree and
+// neighbour counts, so a pick or a move costs O(N + E) at most. The oracle,
+// SolveCircularArc, instead uses the frame's circular-arc structure: one
+// sort of the view arcs and a linear pass per arc crossing angle 0 give
+// the exact optimum at any room size.
 package mwis
 
 import (

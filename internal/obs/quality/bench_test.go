@@ -13,9 +13,9 @@ import (
 
 // BenchmarkRecordEpisode measures recording one Nearest episode on the
 // paper's N=200 Timik room, for the first co-located (MR) and the first
-// remote (VR) target. The oracle runs greedy + local search on every frame;
-// an MR target's physical mask zeroes most of its weights, so the VR
-// episode is the costly one. The package is external because sim and
+// remote (VR) target. The oracle solves every frame's circular-arc MWIS
+// exactly; an MR target's physical mask zeroes most of its weights, so the
+// VR episode is the costly one. The package is external because sim and
 // baselines import quality.
 func BenchmarkRecordEpisode(b *testing.B) {
 	room, err := dataset.Generate(dataset.Config{Kind: dataset.Timik, Seed: 901})

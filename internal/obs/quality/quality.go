@@ -4,9 +4,10 @@
 // quietly changing": it decomposes every episode's AFTER utility into its
 // preference / social-presence / occlusion-gate components (bit-identical to
 // the scored totals, via metrics.Attribute), measures per-step regret
-// against the exact MWIS oracle on small rooms (greedy + local search as a
-// heuristic reference on large ones), tracks render-set churn, and runs
-// streaming EWMA + CUSUM drift detectors over all three series, emitting
+// against the exact MWIS optimum (each frame's occlusion graph is a
+// circular-arc graph, so mwis.SolveCircularArc solves it at every room
+// size), tracks render-set churn, and runs streaming EWMA + CUSUM drift
+// detectors over all three series, emitting
 // structured alerts into the obs span trace, the /quality debug endpoint,
 // and QUALITY_<exp>.json snapshots.
 //
@@ -47,17 +48,8 @@ func On() bool { return enabled.Load() && obs.On() }
 // that recording additionally requires obs to be enabled.
 func SetEnabled(on bool) bool { return enabled.Swap(on) }
 
-// Config bounds the oracle's cost and parameterizes the drift detectors.
+// Config parameterizes the drift detectors and the collector.
 type Config struct {
-	// ExactOracleMaxN is the largest room for which the per-step oracle is
-	// the exact branch-and-bound MWIS optimum (a true upper bound).
-	ExactOracleMaxN int
-	// HeuristicMaxN is the largest room the greedy+local-search reference
-	// still runs on; above it the regret monitor records nothing (per-step
-	// MWIS on a 2000-user room is not an observability feature).
-	HeuristicMaxN int
-	// OracleNodeBudget caps branch-and-bound nodes per step.
-	OracleNodeBudget int
 	// Detector parameterizes every drift detector the collector creates.
 	Detector DetectorConfig
 	// MaxAlerts bounds the retained alert list (oldest kept; the count keeps
@@ -73,26 +65,14 @@ type Config struct {
 // DefaultConfig returns the tuned defaults.
 func DefaultConfig() Config {
 	return Config{
-		ExactOracleMaxN:  24,
-		HeuristicMaxN:    600,
-		OracleNodeBudget: 200_000,
-		Detector:         DefaultDetectorConfig(),
-		MaxAlerts:        256,
-		IgnoreRecs:       []string{"cand"},
+		Detector:   DefaultDetectorConfig(),
+		MaxAlerts:  256,
+		IgnoreRecs: []string{"cand"},
 	}
 }
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.ExactOracleMaxN <= 0 {
-		c.ExactOracleMaxN = d.ExactOracleMaxN
-	}
-	if c.HeuristicMaxN <= 0 {
-		c.HeuristicMaxN = d.HeuristicMaxN
-	}
-	if c.OracleNodeBudget <= 0 {
-		c.OracleNodeBudget = d.OracleNodeBudget
-	}
 	if c.MaxAlerts <= 0 {
 		c.MaxAlerts = d.MaxAlerts
 	}
@@ -138,13 +118,11 @@ type episodeSums struct {
 	pref, social, gate, total float64
 	gatedUsers                int
 
-	// Regret accumulation.
-	regretSteps  int
-	exactSteps   int
-	regretTotal  float64
-	regretMax    float64
-	oracleTotal  float64
-	actualOnOrcl float64 // actual utility summed over oracle-covered steps
+	// Regret accumulation, over every step.
+	regretTotal float64
+	regretMax   float64
+	oracleTotal float64
+	actualTotal float64
 
 	// Churn accumulation (over steps t ≥ 1).
 	churnSteps int
@@ -183,14 +161,12 @@ func (st *recState) totals(maxAlerts int) episodeSums {
 		sum.gate += ep.gate
 		sum.total += ep.total
 		sum.gatedUsers += ep.gatedUsers
-		sum.regretSteps += ep.regretSteps
-		sum.exactSteps += ep.exactSteps
 		sum.regretTotal += ep.regretTotal
 		if ep.regretMax > sum.regretMax {
 			sum.regretMax = ep.regretMax
 		}
 		sum.oracleTotal += ep.oracleTotal
-		sum.actualOnOrcl += ep.actualOnOrcl
+		sum.actualTotal += ep.actualTotal
 		sum.churnSteps += ep.churnSteps
 		sum.churnSum += ep.churnSum
 		if ep.churnMax > sum.churnMax {
@@ -261,7 +237,7 @@ func (c *Collector) RecordEpisode(rec string, room *dataset.Room, dog *occlusion
 	for t, s := range att.Steps {
 		actual[t] = s.Total
 	}
-	regret, oracle, kinds := regretSeries(room, dog, rendered, actual, beta, cfg)
+	regret, oracle := regretSeries(room, dog, rendered, actual, beta)
 	churn := metrics.ChurnSeries(rendered)
 
 	ep := episodeSums{
@@ -275,19 +251,13 @@ func (c *Collector) RecordEpisode(rec string, room *dataset.Room, dog *occlusion
 	churnHist := reg.Histogram(obs.Label("quality.churn", "rec", rec))
 	for t := range att.Steps {
 		utilHist.ObserveNs(microUnits(actual[t]))
-		if kinds[t] != OracleNone {
-			ep.regretSteps++
-			if kinds[t] == OracleExact {
-				ep.exactSteps++
-			}
-			ep.regretTotal += regret[t]
-			if regret[t] > ep.regretMax {
-				ep.regretMax = regret[t]
-			}
-			ep.oracleTotal += oracle[t]
-			ep.actualOnOrcl += actual[t]
-			regretHist.ObserveNs(microUnits(regret[t]))
+		ep.regretTotal += regret[t]
+		if regret[t] > ep.regretMax {
+			ep.regretMax = regret[t]
 		}
+		ep.oracleTotal += oracle[t]
+		ep.actualTotal += actual[t]
+		regretHist.ObserveNs(microUnits(regret[t]))
 		if t >= 1 {
 			ep.churnSteps++
 			ep.churnSum += churn[t]
@@ -309,10 +279,10 @@ func (c *Collector) RecordEpisode(rec string, room *dataset.Room, dog *occlusion
 
 	// Detector feeds: utility and regret over every step, churn over t ≥ 1.
 	target := dog.Target
-	c.feedLocked(st, &ep, rec, seriesUtility, target, actual, nil)
-	c.feedLocked(st, &ep, rec, seriesRegret, target, regret, kinds)
+	c.feedLocked(st, &ep, rec, seriesUtility, target, actual)
+	c.feedLocked(st, &ep, rec, seriesRegret, target, regret)
 	if len(churn) > 1 {
-		c.feedLocked(st, &ep, rec, seriesChurn, target, churn[1:], nil)
+		c.feedLocked(st, &ep, rec, seriesChurn, target, churn[1:])
 	}
 	st.record(ep)
 
@@ -328,8 +298,7 @@ func (c *Collector) RecordEpisode(rec string, room *dataset.Room, dog *occlusion
 }
 
 // feedLocked streams one series into its per-(series, target) detector,
-// creating it on first sight and booking any alerts into ep. kinds, when
-// non-nil, masks the samples to oracle-covered steps.
+// creating it on first sight and booking any alerts into ep.
 //
 // The detector's warmup is sized to the first episode fed, not the static
 // default: per-step utility is nonstationary WITHIN an episode (social
@@ -340,34 +309,22 @@ func (c *Collector) RecordEpisode(rec string, room *dataset.Room, dog *occlusion
 // baseline, so a single-episode evaluation can never alarm and drift is only
 // ever declared episode-over-episode, which is the comparison the chaos
 // sweep's clean-reference-then-faulty structure is built for.
-func (c *Collector) feedLocked(st *recState, ep *episodeSums, rec, series string, target int, xs []float64, kinds []OracleKind) {
-	n := len(xs)
-	if kinds != nil {
-		n = 0
-		for _, k := range kinds {
-			if k != OracleNone {
-				n++
-			}
-		}
-	}
-	if n == 0 {
+func (c *Collector) feedLocked(st *recState, ep *episodeSums, rec, series string, target int, xs []float64) {
+	if len(xs) == 0 {
 		return
 	}
 	key := detectorKey(series, target)
 	d := st.detectors[key]
 	if d == nil {
 		cfg := c.cfg.Detector
-		cfg.Warmup = n
+		cfg.Warmup = len(xs)
 		if cfg.Warmup < minEpisodeWarmup {
 			cfg.Warmup = minEpisodeWarmup
 		}
 		d = NewDetector(series+"/"+rec+"/t"+strconv.Itoa(target), cfg)
 		st.detectors[key] = d
 	}
-	for i, x := range xs {
-		if kinds != nil && kinds[i] == OracleNone {
-			continue
-		}
+	for _, x := range xs {
 		for _, a := range d.Feed(x) {
 			c.alertsTotal++
 			obsAlerts.Inc()
@@ -411,19 +368,14 @@ type AttributionReport struct {
 
 // RegretReport summarizes the oracle-regret monitor for one recommender.
 type RegretReport struct {
-	// Kind is "exact" when every covered step used the exact oracle,
-	// "heuristic" when none did, "mixed" otherwise, "none" when the room was
-	// too large to monitor.
-	Kind        string  `json:"kind"`
 	Steps       int     `json:"steps"`
-	ExactSteps  int     `json:"exact_steps"`
 	Total       float64 `json:"total"`
 	Mean        float64 `json:"mean"`
 	Max         float64 `json:"max"`
 	OracleTotal float64 `json:"oracle_total"`
 	ActualTotal float64 `json:"actual_total"`
 	// Rate is Total/OracleTotal — the fraction of achievable utility left on
-	// the table (0 = optimal every monitored step).
+	// the table (0 = optimal every step).
 	Rate float64 `json:"rate"`
 }
 
@@ -479,22 +431,11 @@ func (c *Collector) Snapshot() Snapshot {
 			rr.Churn.Mean = st.churnSum / float64(st.churnSteps)
 		}
 		rr.Regret = RegretReport{
-			Steps: st.regretSteps, ExactSteps: st.exactSteps,
-			Total: st.regretTotal, Max: st.regretMax,
-			OracleTotal: st.oracleTotal, ActualTotal: st.actualOnOrcl,
+			Steps: st.steps, Total: st.regretTotal, Max: st.regretMax,
+			OracleTotal: st.oracleTotal, ActualTotal: st.actualTotal,
 		}
-		switch {
-		case st.regretSteps == 0:
-			rr.Regret.Kind = "none"
-		case st.exactSteps == st.regretSteps:
-			rr.Regret.Kind = "exact"
-		case st.exactSteps == 0:
-			rr.Regret.Kind = "heuristic"
-		default:
-			rr.Regret.Kind = "mixed"
-		}
-		if st.regretSteps > 0 {
-			rr.Regret.Mean = st.regretTotal / float64(st.regretSteps)
+		if st.steps > 0 {
+			rr.Regret.Mean = st.regretTotal / float64(st.steps)
 		}
 		if st.oracleTotal > 0 {
 			rr.Regret.Rate = st.regretTotal / st.oracleTotal

@@ -303,17 +303,13 @@ func renderQualitySection(b *strings.Builder, runs []qualityRun) {
 		}
 		sort.Strings(recs)
 		b.WriteString("<table><tr><th>recommender</th><th>episodes</th><th>utility</th><th>pref</th><th>social</th><th>gate (forfeited)</th>" +
-			"<th>regret rate</th><th>oracle</th><th>churn</th><th>alerts</th></tr>\n")
+			"<th>regret rate</th><th>churn</th><th>alerts</th></tr>\n")
 		for _, name := range recs {
 			rr := run.snap.Recommenders[name]
-			regretRate := "—"
-			if rr.Regret.Kind != "none" {
-				regretRate = fmtF(rr.Regret.Rate)
-			}
-			fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%d</td></tr>\n",
+			fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%d</td></tr>\n",
 				esc(name), rr.Episodes, fmtF(rr.Attribution.Total), fmtF(rr.Attribution.Pref),
 				fmtF(rr.Attribution.Social), fmtF(rr.Attribution.Gate),
-				regretRate, esc(rr.Regret.Kind), fmtF(rr.Churn.Mean), len(rr.Alerts))
+				fmtF(rr.Regret.Rate), fmtF(rr.Churn.Mean), len(rr.Alerts))
 		}
 		b.WriteString("</table>\n")
 		// Alert detail rows, if any.

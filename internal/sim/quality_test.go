@@ -80,8 +80,8 @@ func TestQualityHookRecords(t *testing.T) {
 		if diff := mean - res.Utility; diff > 1e-9 || diff < -1e-9 {
 			t.Errorf("%s: attribution mean %v vs scored mean %v", name, mean, res.Utility)
 		}
-		if rr.Regret.Kind == "none" {
-			t.Errorf("%s: no regret coverage on a small determinism room", name)
+		if rr.Regret.Steps != rr.Steps {
+			t.Errorf("%s: regret covers %d of %d steps", name, rr.Regret.Steps, rr.Steps)
 		}
 	}
 }
