@@ -348,10 +348,10 @@ func writeProfile(p *prof.Profiler, id string) {
 
 // qualityGate compares the run's oracle-regret rates against a checked-in
 // QUALITY baseline snapshot: any recommender whose regret rate (fraction of
-// achievable utility left on the table) worsens by
-// more than 5% relative (plus a small absolute slack for near-zero baselines)
-// fails the run. Regret is deterministic for seeded runs, but like the bench
-// gate this downgrades to advisory on single-vCPU machines, where CI baseline
+// achievable utility left on the table) worsens by more than 5% relative
+// (plus a small absolute slack for near-zero baselines) fails the run.
+// Regret is deterministic for seeded runs, but like the bench gate this
+// downgrades to advisory on single-vCPU machines, where CI baseline
 // refreshes may lag the code: the message is printed, the exit stays zero.
 func qualityGate(baselinePath string, snap quality.Snapshot) (string, error) {
 	data, err := os.ReadFile(baselinePath)

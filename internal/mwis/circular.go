@@ -76,15 +76,13 @@ func SolveCircularArc(arcs []geom.Arc, weights []float64) ([]int, float64) {
 	}
 	s.cross, s.keys, s.ivs, s.prev = cross, keys, ivs, prev
 
-	best, bestW := -1, s.schedule(math.Inf(-1), math.Inf(1))
-	for _, a := range cross {
-		if w := s.schedule(gap(arcs[a])) + weights[a]; w > bestW {
-			best, bestW = a, w
-		}
-	}
 	lo, hi := math.Inf(-1), math.Inf(1)
-	if best >= 0 {
-		lo, hi = gap(arcs[best])
+	best, bestW := -1, s.schedule(lo, hi)
+	for _, a := range cross {
+		alo, ahi := gap(arcs[a])
+		if w := s.schedule(alo, ahi) + weights[a]; w > bestW {
+			best, bestW, lo, hi = a, w, alo, ahi
+		}
 	}
 	set := s.trace(lo, hi)
 	if best >= 0 {

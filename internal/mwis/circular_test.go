@@ -38,8 +38,9 @@ func problemFromArcs(arcs []geom.Arc, weights []float64) *Problem {
 
 // edgeCaseArcs draws n arcs and weights that reach the solver's edge cases:
 // full arcs, arcs that start exactly where another ends (or end where it
-// starts), arcs that straddle or touch the 0/2π seam, co-located duplicates,
-// and weights with zeros, negatives and exact ties.
+// starts), arcs that straddle or touch the 0/2π seam, co-located duplicates
+// and near-duplicates shifted by less than a nanoradian, and weights with
+// zeros, negatives and exact ties.
 func edgeCaseArcs(rng *rand.Rand, n int) ([]geom.Arc, []float64) {
 	arcs := make([]geom.Arc, n)
 	weights := make([]float64, n)
@@ -63,6 +64,9 @@ func edgeCaseArcs(rng *rand.Rand, n int) ([]geom.Arc, []float64) {
 			arcs[i] = geom.NewArc((2*rng.Float64()-1)*h, h)
 		case k == 5:
 			arcs[i] = geom.NewArc(float64(1-2*rng.Intn(2))*h, h)
+		case k == 6 && i > 0:
+			a := arcs[rng.Intn(i)]
+			arcs[i] = geom.NewArc(a.Center+(2*rng.Float64()-1)*1e-9, a.HalfWidth)
 		default:
 			arcs[i] = geom.NewArc(rng.Float64()*2*math.Pi, h)
 		}

@@ -7,9 +7,8 @@
 // against the exact MWIS optimum (each frame's occlusion graph is a
 // circular-arc graph, so mwis.SolveCircularArc solves it at every room
 // size), tracks render-set churn, and runs streaming EWMA + CUSUM drift
-// detectors over all three series, emitting
-// structured alerts into the obs span trace, the /quality debug endpoint,
-// and QUALITY_<exp>.json snapshots.
+// detectors over all three series, emitting structured alerts into the obs
+// span trace, the /quality debug endpoint, and QUALITY_<exp>.json snapshots.
 //
 // Recording rides the obs enable switch and adds its own: On() is true only
 // when both quality.SetEnabled(true) and obs recording are active, so the
