@@ -57,8 +57,8 @@ func randomTrace(rng *rand.Rand, n, steps, target int, p float64) [][]bool {
 	return out
 }
 
-// nearestTrace renders the k users nearest the target each step, as
-// baselines.Nearest does.
+// nearestTrace renders the k users nearest the target each step, the set
+// baselines.Nearest renders (up to the order of ties).
 func nearestTrace(dog *occlusion.DOG, k int) [][]bool {
 	out := make([][]bool, len(dog.Frames))
 	for t, frame := range dog.Frames {
