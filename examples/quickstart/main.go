@@ -36,7 +36,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("trained: per-epoch POSHGNN loss %v\n\n", round3(stats.Losses))
+	losses := make([]float64, len(stats.Epochs))
+	for i, es := range stats.Epochs {
+		losses[i] = float64(int(es.Loss*1000)) / 1000
+	}
+	fmt.Printf("trained: per-epoch POSHGNN loss %v\n\n", losses)
 
 	// Stream recommendations for target user 3.
 	const target = 3
@@ -73,12 +77,4 @@ func main() {
 		fmt.Printf("  %-8s utility=%6.2f preference=%6.2f social=%6.2f occlusion=%.0f%%\n",
 			name, r.Utility, r.Preference, r.Social, 100*r.OcclusionRate)
 	}
-}
-
-func round3(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(int(x*1000)) / 1000
-	}
-	return out
 }

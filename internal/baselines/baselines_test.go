@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"math"
 	"testing"
 
 	"after/internal/core"
@@ -220,16 +221,24 @@ func TestGraFrankCachesPerRoom(t *testing.T) {
 func TestRecurrentBaselinesTrainAndRun(t *testing.T) {
 	rm := room(t, 8, 10)
 	for _, build := range []func() *Recurrent{
-		func() *Recurrent { return NewTGCN(RecurrentConfig{Epochs: 1, Seed: 5}) },
-		func() *Recurrent { return NewDCRNN(RecurrentConfig{Epochs: 1, Seed: 5}) },
+		func() *Recurrent { return NewTGCN(RecurrentConfig{Epochs: 2, Seed: 5}) },
+		func() *Recurrent { return NewDCRNN(RecurrentConfig{Epochs: 2, Seed: 5}) },
 	} {
 		m := build()
-		loss, err := m.Train([]core.Episode{{Room: rm, Target: 0}})
+		validations := 0
+		score, err := m.Train([]core.Episode{{Room: rm, Target: 0}}, func() (float64, error) {
+			validations++
+			res, err := sim.Evaluate([]sim.Recommender{m}, rm, []int{1}, 0.5)
+			return res[m.Name()].Utility, err
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		if loss <= 0 {
-			t.Fatalf("%s: non-positive final loss %v", m.Name(), loss)
+		if validations != 2 {
+			t.Fatalf("%s: %d validations in 2 epochs", m.Name(), validations)
+		}
+		if math.IsNaN(score) || math.IsInf(score, 0) {
+			t.Fatalf("%s: best validation score %v", m.Name(), score)
 		}
 		dog := occlusion.BuildDOG(1, rm.Traj, rm.AvatarRadius)
 		s := m.StartEpisode(rm, 1)
@@ -246,7 +255,8 @@ func TestRecurrentBaselinesTrainAndRun(t *testing.T) {
 }
 
 func TestRecurrentTrainNoEpisodes(t *testing.T) {
-	if _, err := NewTGCN(RecurrentConfig{}).Train(nil); err == nil {
+	validate := func() (float64, error) { return 0, nil }
+	if _, err := NewTGCN(RecurrentConfig{}).Train(nil, validate); err == nil {
 		t.Error("empty training accepted")
 	}
 }
@@ -356,34 +366,5 @@ func TestAllBaselinesThroughHarness(t *testing.T) {
 	}
 	if results["COMURNet"].OcclusionRate != 0 {
 		t.Errorf("COMURNet occlusion = %v, want 0", results["COMURNet"].OcclusionRate)
-	}
-}
-
-func TestTrainBestPicksLowestLoss(t *testing.T) {
-	rm := room(t, 13, 6)
-	eps := []core.Episode{{Room: rm, Target: 0}}
-	m, err := TrainBest(func(seed int64) *Recurrent {
-		return NewTGCN(RecurrentConfig{Epochs: 1, Seed: seed})
-	}, 1, 3, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m == nil {
-		t.Fatal("no model selected")
-	}
-	dog := occlusion.BuildDOG(0, rm.Traj, rm.AvatarRadius)
-	if r := m.StartEpisode(rm, 0).Step(0, dog.At(0)); len(r) != rm.N {
-		t.Error("selected model unusable")
-	}
-}
-
-func TestTrainBestZeroRestarts(t *testing.T) {
-	rm := room(t, 14, 4)
-	eps := []core.Episode{{Room: rm, Target: 0}}
-	m, err := TrainBest(func(seed int64) *Recurrent {
-		return NewDCRNN(RecurrentConfig{Epochs: 1, Seed: seed})
-	}, 5, 0, eps)
-	if err != nil || m == nil {
-		t.Fatalf("restarts<1 should clamp to 1: %v", err)
 	}
 }

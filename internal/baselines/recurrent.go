@@ -9,48 +9,32 @@ import (
 	"after/internal/dataset"
 	"after/internal/nn"
 	"after/internal/occlusion"
-	"after/internal/parallel"
 	"after/internal/sim"
 	"after/internal/tensor"
 )
 
-// RecurrentConfig tunes the recurrent GNN baselines; zero values take the
-// shared defaults of the paper's fair-comparison setup (hidden 8, α=0.01,
-// β=0.5, lr=1e-2, the same POSHGNN loss).
+// RecurrentConfig holds the knobs the model-selection grid varies for the
+// recurrent GNN baselines; zero values take POSHGNN's defaults. The other
+// hyperparameters (hidden width, β, threshold, learning rate, BPTT window)
+// are core.DefaultConfig's, so the baselines cannot drift from the model
+// they are compared against.
 type RecurrentConfig struct {
-	Hidden     int
-	Alpha      float64
-	Beta       float64
-	Threshold  float64
-	LR         float64
-	Epochs     int
-	BPTTWindow int
-	Seed       int64
+	Alpha  float64
+	Epochs int
+	Seed   int64
 }
 
-func (c RecurrentConfig) withDefaults() RecurrentConfig {
-	if c.Hidden == 0 {
-		c.Hidden = 8
+// config lays c over core.DefaultConfig.
+func (c RecurrentConfig) config() core.Config {
+	cfg := core.DefaultConfig()
+	if c.Alpha != 0 {
+		cfg.Alpha = c.Alpha
 	}
-	if c.Alpha == 0 {
-		c.Alpha = core.DefaultAlpha
+	if c.Epochs != 0 {
+		cfg.Epochs = c.Epochs
 	}
-	if c.Beta == 0 {
-		c.Beta = 0.5
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 0.5
-	}
-	if c.LR == 0 {
-		c.LR = 1e-2
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 10
-	}
-	if c.BPTTWindow == 0 {
-		c.BPTTWindow = 10
-	}
-	return c
+	cfg.Seed = c.Seed
+	return cfg
 }
 
 // kernel is the per-step recurrent computation each baseline supplies.
@@ -67,7 +51,7 @@ type kernel interface {
 // inputs, same loss, different spatio-temporal kernel.
 type Recurrent struct {
 	name   string
-	cfg    RecurrentConfig
+	cfg    core.Config
 	params *nn.Params
 	kern   kernel
 }
@@ -80,8 +64,8 @@ func (m *Recurrent) Params() *nn.Params { return m.params }
 
 // NewTGCN builds the T-GCN baseline [73]: a graph convolution captures
 // spatial structure, a GRU captures temporal dynamics.
-func NewTGCN(cfg RecurrentConfig) *Recurrent {
-	cfg = cfg.withDefaults()
+func NewTGCN(rc RecurrentConfig) *Recurrent {
+	cfg := rc.config()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	p := nn.NewParams()
 	k := &tgcnKernel{
@@ -106,8 +90,8 @@ func (k *tgcnKernel) forward(x *tensor.Tensor, adj *tensor.CSR, h *tensor.Tensor
 
 // NewDCRNN builds the DCRNN baseline [72]: diffusion convolution over
 // random-walk transition matrices feeding a GRU.
-func NewDCRNN(cfg RecurrentConfig) *Recurrent {
-	cfg = cfg.withDefaults()
+func NewDCRNN(rc RecurrentConfig) *Recurrent {
+	cfg := rc.config()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	p := nn.NewParams()
 	k := &dcrnnKernel{
@@ -173,42 +157,23 @@ func recurrentFeatures(room *dataset.Room, frame *occlusion.StaticGraph) *core.M
 	return agg
 }
 
-// poshgnnLoss is Definition 7 shared by the trained baselines.
-func poshgnnLoss(r, prevR *tensor.Tensor, agg *core.MIAOutput, alpha, beta float64) *tensor.Tensor {
-	phat := tensor.Constant(agg.PHat)
-	shat := tensor.Constant(agg.SHat)
-	loss := tensor.Scale(tensor.Sum(tensor.Mul(r, phat)), -(1 - beta))
-	if prevR != nil {
-		loss = tensor.Add(loss, tensor.Scale(tensor.Sum(tensor.Mul(tensor.Mul(r, prevR), shat)), -beta))
-	}
-	loss = tensor.Add(loss, tensor.Scale(tensor.QuadraticFormCSR(r, agg.Adj), alpha))
-	gamma := (1-beta)*agg.PHat.Sum() + beta*agg.SHat.Sum()
-	return tensor.AddScalar(loss, gamma)
-}
-
-// episodeDOGs converts every episode's trajectory once (the DOG is a pure
-// function of the episode) with the conversions fanned out over the worker
-// pool, so the epoch loops can reuse them instead of rebuilding per epoch.
-func episodeDOGs(episodes []core.Episode) []*occlusion.DOG {
-	dogs := make([]*occlusion.DOG, len(episodes))
-	parallel.ForEach(len(episodes), func(i int) {
-		ep := episodes[i]
-		dogs[i] = occlusion.BuildDOG(ep.Target, ep.Room.Traj, ep.Room.AvatarRadius)
-	})
-	return dogs
-}
-
-// Train fits the kernel on the episodes with truncated BPTT, mirroring the
-// POSHGNN trainer. It returns the mean per-step loss of the final epoch.
-func (m *Recurrent) Train(episodes []core.Episode) (float64, error) {
+// Train fits the kernel on the episodes with truncated BPTT, evaluates the
+// model with validate after every epoch, snapshots the best-scoring
+// weights, and restores them at the end; it returns the best score. This
+// is ordinary early stopping, and it is what keeps the collapse-prone
+// kernels usable: DCRNN in particular often passes through a good phase
+// while the occlusion-penalty curriculum ramps up and then falls into the
+// render-nothing optimum.
+func (m *Recurrent) Train(episodes []core.Episode, validate func() (float64, error)) (float64, error) {
 	if len(episodes) == 0 {
 		return 0, fmt.Errorf("baselines: no training episodes")
 	}
 	opt := nn.NewAdam(m.params, m.cfg.LR)
 	opt.ClipNorm = 5
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 2))
-	dogs := episodeDOGs(episodes)
-	var lastLoss float64
+	dogs := core.EpisodeDOGs(episodes)
+	bestVal := math.Inf(-1)
+	var bestSnap map[string]*tensor.Matrix
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
 		// Curriculum on the occlusion penalty: in dense rooms a full-strength
 		// α at initialization produces a gradient avalanche that saturates
@@ -219,46 +184,9 @@ func (m *Recurrent) Train(episodes []core.Episode) (float64, error) {
 		if ramp := float64(epoch+1) / (float64(m.cfg.Epochs)/2 + 1); ramp < 1 {
 			alpha *= ramp
 		}
-		total, steps := 0.0, 0
 		for _, idx := range rng.Perm(len(episodes)) {
-			ep := episodes[idx]
-			l, n, err := m.trainEpisode(ep.Room, dogs[idx], opt, alpha)
-			if err != nil {
-				return 0, err
-			}
-			total += l
-			steps += n
-		}
-		lastLoss = total / float64(steps)
-	}
-	return lastLoss, nil
-}
-
-// TrainWithValidation trains like Train but evaluates the model with
-// validate after every epoch, snapshots the best-scoring weights, and
-// restores them at the end. This is ordinary early stopping, and it is what
-// keeps the collapse-prone kernels usable: DCRNN in particular often passes
-// through a good phase while the occlusion-penalty curriculum ramps up and
-// then falls into the render-nothing optimum.
-func (m *Recurrent) TrainWithValidation(episodes []core.Episode, validate func() (float64, error)) (float64, error) {
-	if len(episodes) == 0 {
-		return 0, fmt.Errorf("baselines: no training episodes")
-	}
-	opt := nn.NewAdam(m.params, m.cfg.LR)
-	opt.ClipNorm = 5
-	rng := rand.New(rand.NewSource(m.cfg.Seed + 2))
-	dogs := episodeDOGs(episodes)
-	bestVal := math.Inf(-1)
-	var bestSnap map[string]*tensor.Matrix
-	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
-		alpha := m.cfg.Alpha
-		if ramp := float64(epoch+1) / (float64(m.cfg.Epochs)/2 + 1); ramp < 1 {
-			alpha *= ramp
-		}
-		for _, idx := range rng.Perm(len(episodes)) {
-			ep := episodes[idx]
-			if _, _, err := m.trainEpisode(ep.Room, dogs[idx], opt, alpha); err != nil {
-				return 0, err
+			if err := m.trainEpisode(episodes[idx].Room, dogs[idx], opt, alpha); err != nil {
+				return 0, fmt.Errorf("baselines: training %s: %w", m.name, err)
 			}
 		}
 		v, err := validate()
@@ -278,71 +206,25 @@ func (m *Recurrent) TrainWithValidation(episodes []core.Episode, validate func()
 	return bestVal, nil
 }
 
-// TrainBest trains `restarts` fresh models built with consecutive seeds and
-// returns the one achieving the lowest final training loss. The recurrent
-// kernels are initialization-sensitive (they occasionally collapse to the
-// trivial render-nothing optimum), and restarts are the standard remedy.
-func TrainBest(build func(seed int64) *Recurrent, baseSeed int64, restarts int, episodes []core.Episode) (*Recurrent, error) {
-	if restarts < 1 {
-		restarts = 1
-	}
-	var best *Recurrent
-	bestLoss := math.Inf(1)
-	for i := 0; i < restarts; i++ {
-		m := build(baseSeed + int64(i))
-		loss, err := m.Train(episodes)
-		if err != nil {
-			return nil, err
-		}
-		if loss < bestLoss {
-			best, bestLoss = m, loss
-		}
-	}
-	return best, nil
-}
-
-func (m *Recurrent) trainEpisode(room *dataset.Room, dog *occlusion.DOG, opt *nn.Adam, alpha float64) (float64, int, error) {
+// trainEpisode runs one trajectory through the BPTT loop, threading the
+// GRU state and r_{t-1} between steps and detaching both at window
+// boundaries.
+func (m *Recurrent) trainEpisode(room *dataset.Room, dog *occlusion.DOG, opt *nn.Adam, alpha float64) error {
 	n := room.N
 	h := tensor.Constant(tensor.NewMatrix(n, m.cfg.Hidden))
 	var prevR *tensor.Tensor
-	var window []*tensor.Tensor
-	total := 0.0
-	flush := func() error {
-		if len(window) == 0 {
-			return nil
-		}
-		loss := window[0]
-		for _, l := range window[1:] {
-			loss = tensor.Add(loss, l)
-		}
-		loss = tensor.Scale(loss, 1/float64(len(window)))
-		if loss.Value.HasNaN() {
-			return fmt.Errorf("baselines: NaN loss training %s", m.name)
-		}
-		m.params.ZeroGrad()
-		tensor.Backward(loss)
-		opt.Step()
-		window = window[:0]
-		return nil
-	}
-	for _, frame := range dog.Frames {
+	_, _, _, err := nn.TrainBPTT(opt, len(dog.Frames), m.cfg.BPTTWindow, func(t int) *tensor.Tensor {
+		frame := dog.Frames[t]
 		agg := recurrentFeatures(room, frame)
 		logits, next := m.kern.forward(tensor.Constant(agg.X), agg.Adj, h)
 		r := tensor.Mul(tensor.Constant(targetMask(n, frame.Target)), tensor.Sigmoid(logits))
-		l := poshgnnLoss(r, prevR, agg, alpha, m.cfg.Beta)
-		total += l.Value.Data[0]
-		window = append(window, l)
-		h = next
-		prevR = r
-		if len(window) >= m.cfg.BPTTWindow {
-			if err := flush(); err != nil {
-				return total, len(dog.Frames), err
-			}
-			h = tensor.Detach(h)
-			prevR = tensor.Detach(prevR)
-		}
-	}
-	return total, len(dog.Frames), flush()
+		l := core.StepLoss(r, prevR, agg, alpha, m.cfg.Beta)
+		h, prevR = next, r
+		return l
+	}, func() {
+		h, prevR = tensor.Detach(h), tensor.Detach(prevR)
+	})
+	return err
 }
 
 // targetMask is a column of ones with a zero at the target row.

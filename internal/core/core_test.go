@@ -202,7 +202,7 @@ func TestStepLossNonNegative(t *testing.T) {
 			prev = dog.Frames[t2-1]
 		}
 		out := m.forward(room, frame, prev, prevR, nil)
-		l := m.stepLoss(out, prevR)
+		l := StepLoss(out.r, prevR, out.mia, m.cfg.Alpha, m.cfg.Beta)
 		if l.Value.Data[0] < -1e-9 {
 			t.Fatalf("loss %v negative at step %d", l.Value.Data[0], t2)
 		}
@@ -217,16 +217,16 @@ func TestTrainingReducesLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.Losses) != 4 {
-		t.Fatalf("losses = %v", stats.Losses)
+	if len(stats.Epochs) != 4 {
+		t.Fatalf("epochs = %v", stats.Epochs)
 	}
-	first, last := stats.Losses[0], stats.Losses[len(stats.Losses)-1]
+	first, last := stats.Epochs[0].Loss, stats.Epochs[len(stats.Epochs)-1].Loss
 	if !(last < first) {
 		t.Errorf("training did not reduce loss: %v -> %v", first, last)
 	}
-	for _, l := range stats.Losses {
-		if math.IsNaN(l) || math.IsInf(l, 0) {
-			t.Fatalf("unstable training: %v", stats.Losses)
+	for _, es := range stats.Epochs {
+		if math.IsNaN(es.Loss) || math.IsInf(es.Loss, 0) {
+			t.Fatalf("unstable training: %v", stats.Epochs)
 		}
 	}
 }
@@ -297,15 +297,6 @@ func TestSessionDeterministic(t *testing.T) {
 				t.Fatal("sessions with identical state diverged")
 			}
 		}
-	}
-}
-
-func TestEpisodeLossFinite(t *testing.T) {
-	room := movingRoom(8, 10)
-	m := New(DefaultConfig())
-	l := m.EpisodeLoss(room, 0)
-	if math.IsNaN(l) || math.IsInf(l, 0) || l < 0 {
-		t.Errorf("episode loss = %v", l)
 	}
 }
 

@@ -199,25 +199,24 @@ func (m *POSHGNN) forward(room *dataset.Room, frame, prev *occlusion.StaticGraph
 	return out
 }
 
-// stepLoss is the per-step POSHGNN loss (Definition 7):
+// StepLoss is the per-step POSHGNN loss (Definition 7) of the
+// recommendation r on the utilities and occlusion graph in mia:
 //
 //	L_t = −(1−β)·r_tᵀ·p̂_t − β·(r_t⊗r_{t−1})ᵀ·ŝ_t + α·r_tᵀ·A_t·r_t + γ
 //
-// with γ = Σ_w [(1−β)·p̂ + β·ŝ] keeping the loss non-negative.
-func (m *POSHGNN) stepLoss(out stepOutput, prevR *tensor.Tensor) *tensor.Tensor {
-	beta, alpha := m.cfg.Beta, m.cfg.Alpha
-	phat := tensor.Constant(out.mia.PHat)
-	shat := tensor.Constant(out.mia.SHat)
-	prefGain := tensor.Scale(tensor.Sum(tensor.Mul(out.r, phat)), -(1 - beta))
-	var socialGain *tensor.Tensor
+// with γ = Σ_w [(1−β)·p̂ + β·ŝ] keeping the loss non-negative. At t = 0
+// (prevR nil) there is no previous set, so the social term is absent. The
+// trained baselines train on it too: the paper's fair comparison gives
+// them POSHGNN's loss.
+func StepLoss(r, prevR *tensor.Tensor, mia *MIAOutput, alpha, beta float64) *tensor.Tensor {
+	loss := tensor.Scale(tensor.Sum(tensor.Mul(r, tensor.Constant(mia.PHat))), -(1 - beta))
 	if prevR != nil {
-		socialGain = tensor.Scale(tensor.Sum(tensor.Mul(tensor.Mul(out.r, prevR), shat)), -beta)
-	} else {
-		socialGain = tensor.Constant(tensor.NewMatrix(1, 1))
+		social := tensor.Sum(tensor.Mul(tensor.Mul(r, prevR), tensor.Constant(mia.SHat)))
+		loss = tensor.Add(loss, tensor.Scale(social, -beta))
 	}
-	occPenalty := tensor.Scale(tensor.QuadraticFormCSR(out.r, out.mia.Adj), alpha)
-	gamma := (1-beta)*out.mia.PHat.Sum() + beta*out.mia.SHat.Sum()
-	return tensor.AddScalar(tensor.Add(tensor.Add(prefGain, socialGain), occPenalty), gamma)
+	loss = tensor.Add(loss, tensor.Scale(tensor.QuadraticFormCSR(r, mia.Adj), alpha))
+	gamma := (1-beta)*mia.PHat.Sum() + beta*mia.SHat.Sum()
+	return tensor.AddScalar(loss, gamma)
 }
 
 // decodeRecommendation turns the probability vector r_t into a rendered set

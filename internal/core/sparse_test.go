@@ -130,14 +130,14 @@ func TestTrainSparseMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl, dl := ss.Losses, ds.Losses
+	sl, dl := ss.Epochs, ds.Epochs
 	if len(sl) != len(dl) {
 		t.Fatalf("epoch count mismatch: %d vs %d", len(sl), len(dl))
 	}
 	for e := range sl {
-		if d := math.Abs(sl[e] - dl[e]); d > 1e-9 {
+		if d := math.Abs(sl[e].Loss - dl[e].Loss); d > 1e-9 {
 			t.Fatalf("epoch %d: |sparse-dense| loss = %g (sparse %g dense %g)",
-				e, d, sl[e], dl[e])
+				e, d, sl[e].Loss, dl[e].Loss)
 		}
 	}
 }

@@ -35,12 +35,9 @@ type EpochStats struct {
 
 // TrainStats summarizes a training run.
 type TrainStats struct {
-	// Losses holds the mean per-step POSHGNN loss after each epoch.
-	Losses []float64
 	// Steps is the total number of optimizer updates performed.
 	Steps int
-	// Epochs is the full per-epoch curve (loss, gradient norm, duration);
-	// Losses[i] == Epochs[i].Loss is kept for compatibility.
+	// Epochs is the per-epoch curve: loss, gradient norm and duration.
 	Epochs []EpochStats
 }
 
@@ -55,9 +52,22 @@ var (
 	obsTrainEpochs   = obs.Default().Counter("train.epochs")
 )
 
+// EpisodeDOGs builds each training episode's dynamic occlusion graph once,
+// fanned out over the worker pool. A DOG is a pure function of (target,
+// trajectory, radius), so the epoch loops reuse them instead of rebuilding
+// them every epoch.
+func EpisodeDOGs(episodes []Episode) []*occlusion.DOG {
+	dogs := make([]*occlusion.DOG, len(episodes))
+	parallel.ForEach(len(episodes), func(i int) {
+		ep := episodes[i]
+		dogs[i] = occlusion.BuildDOG(ep.Target, ep.Room.Traj, ep.Room.AvatarRadius)
+	})
+	return dogs
+}
+
 // Train fits the model on the given episodes with truncated BPTT and Adam
-// (lr from Config, Sec. V-A5). It returns per-epoch mean losses; callers
-// can verify the loss decreases.
+// (lr from Config, Sec. V-A5), one shuffled pass over the episodes per
+// epoch. It returns the update count and the per-epoch curve.
 func (m *POSHGNN) Train(episodes []Episode) (TrainStats, error) {
 	if len(episodes) == 0 {
 		return TrainStats{}, fmt.Errorf("core: no training episodes")
@@ -71,33 +81,22 @@ func (m *POSHGNN) Train(episodes []Episode) (TrainStats, error) {
 	opt.ClipNorm = 5
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 1))
 	var stats TrainStats
-
-	// The DOG of an episode is a pure function of (target, trajectory,
-	// radius); build each one once up front instead of once per epoch. The
-	// conversions fan out over the worker pool.
-	dogs := make([]*occlusion.DOG, len(episodes))
-	parallel.ForEach(len(episodes), func(i int) {
-		ep := episodes[i]
-		dogs[i] = occlusion.BuildDOG(ep.Target, ep.Room.Traj, ep.Room.AvatarRadius)
-	})
-
+	dogs := EpisodeDOGs(episodes)
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
 		epochStart := time.Now()
 		totalLoss, totalSteps := 0.0, 0
 		normSum, updates := 0.0, 0
-		order := rng.Perm(len(episodes))
-		for _, idx := range order {
-			ep := episodes[idx]
-			loss, steps, gn, err := m.trainEpisode(ep.Room, dogs[idx], opt)
+		for _, idx := range rng.Perm(len(episodes)) {
+			loss, gn, n, err := m.trainEpisode(episodes[idx].Room, dogs[idx], opt)
 			if err != nil {
-				return stats, err
+				return stats, fmt.Errorf("core: training: %w", err)
 			}
 			totalLoss += loss
-			totalSteps += steps
-			normSum += gn.sum
-			updates += gn.updates
-			stats.Steps += (steps + m.cfg.BPTTWindow - 1) / m.cfg.BPTTWindow
+			totalSteps += len(dogs[idx].Frames)
+			normSum += gn
+			updates += n
 		}
+		stats.Steps += updates
 		es := EpochStats{
 			Alpha:      m.cfg.Alpha,
 			Seed:       m.cfg.Seed,
@@ -108,7 +107,6 @@ func (m *POSHGNN) Train(episodes []Episode) (TrainStats, error) {
 		if updates > 0 {
 			es.GradNorm = normSum / float64(updates)
 		}
-		stats.Losses = append(stats.Losses, es.Loss)
 		stats.Epochs = append(stats.Epochs, es)
 		obsTrainLoss.Set(es.Loss)
 		obsTrainGradNorm.Set(es.GradNorm)
@@ -121,87 +119,21 @@ func (m *POSHGNN) Train(episodes []Episode) (TrainStats, error) {
 	return stats, nil
 }
 
-// gradNorms accumulates pre-clip global gradient norms across the optimizer
-// updates of one episode.
-type gradNorms struct {
-	sum     float64
-	updates int
-}
-
-// trainEpisode runs one full trajectory, applying an optimizer update at the
-// end of every BPTT window and detaching the recurrent state between
-// windows. It returns the summed per-step loss, the step count, and the
-// accumulated pre-clip gradient norms of its optimizer updates.
-func (m *POSHGNN) trainEpisode(room *dataset.Room, dog *occlusion.DOG, opt *nn.Adam) (float64, int, gradNorms, error) {
+// trainEpisode runs one trajectory through the BPTT loop, threading the
+// previous frame, r_{t-1} and h_{t-1} between steps and detaching the
+// recurrent pair at window boundaries.
+func (m *POSHGNN) trainEpisode(room *dataset.Room, dog *occlusion.DOG, opt *nn.Adam) (loss, gradNorm float64, updates int, err error) {
 	var (
-		prevFrame *occlusion.StaticGraph
-		prevR     *tensor.Tensor
-		prevH     *tensor.Tensor
-		window    []*tensor.Tensor
-		total     float64
-		gn        gradNorms
+		prevFrame    *occlusion.StaticGraph
+		prevR, prevH *tensor.Tensor
 	)
-	flush := func() error {
-		if len(window) == 0 {
-			return nil
-		}
-		loss := window[0]
-		for _, l := range window[1:] {
-			loss = tensor.Add(loss, l)
-		}
-		loss = tensor.Scale(loss, 1/float64(len(window)))
-		if loss.Value.HasNaN() {
-			return fmt.Errorf("core: NaN loss during training")
-		}
-		m.params.ZeroGrad()
-		tensor.Backward(loss)
-		gn.sum += opt.Step()
-		gn.updates++
-		window = window[:0]
-		return nil
-	}
-	steps := len(dog.Frames)
-	for t := 0; t < steps; t++ {
+	return nn.TrainBPTT(opt, len(dog.Frames), m.cfg.BPTTWindow, func(t int) *tensor.Tensor {
 		frame := dog.Frames[t]
 		out := m.forward(room, frame, prevFrame, prevR, prevH)
-		l := m.stepLoss(out, prevR)
-		total += l.Value.Data[0]
-		window = append(window, l)
-		// Recurrent state flows within the window; it is detached at window
-		// boundaries (truncated BPTT).
-		prevFrame = frame
-		prevR = out.r
-		prevH = out.h
-		if len(window) >= m.cfg.BPTTWindow {
-			if err := flush(); err != nil {
-				return total, t + 1, gn, err
-			}
-			prevR = tensor.Detach(prevR)
-			prevH = tensor.Detach(prevH)
-		}
-	}
-	if err := flush(); err != nil {
-		return total, steps, gn, err
-	}
-	return total, steps, gn, nil
-}
-
-// EpisodeLoss evaluates the mean per-step POSHGNN loss on an episode without
-// updating weights; used to report held-out loss.
-func (m *POSHGNN) EpisodeLoss(room *dataset.Room, target int) float64 {
-	dog := occlusion.BuildDOG(target, room.Traj, room.AvatarRadius)
-	var (
-		prevFrame *occlusion.StaticGraph
-		prevR     *tensor.Tensor
-		prevH     *tensor.Tensor
-		total     float64
-	)
-	for _, frame := range dog.Frames {
-		out := m.forward(room, frame, prevFrame, prevR, prevH)
-		total += m.stepLoss(out, prevR).Value.Data[0]
-		prevFrame = frame
-		prevR = tensor.Detach(out.r)
-		prevH = tensor.Detach(out.h)
-	}
-	return total / float64(len(dog.Frames))
+		l := StepLoss(out.r, prevR, out.mia, m.cfg.Alpha, m.cfg.Beta)
+		prevFrame, prevR, prevH = frame, out.r, out.h
+		return l
+	}, func() {
+		prevR, prevH = tensor.Detach(prevR), tensor.Detach(prevH)
+	})
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // TestTrainEpochStats checks the per-epoch curve attached to TrainStats: one
-// record per epoch, consistent with the legacy Losses slice, tagged with the
-// candidate's (alpha, seed), with measured durations and finite grad norms.
+// record per epoch, tagged with the candidate's (alpha, seed), with measured
+// durations and finite grad norms.
 func TestTrainEpochStats(t *testing.T) {
 	room := movingRoom(20, 3)
 	cfg := Config{UseMIA: true, UseLWP: true, Epochs: 3, Seed: 9, Alpha: 0.1}
@@ -23,13 +23,7 @@ func TestTrainEpochStats(t *testing.T) {
 	if len(stats.Epochs) != cfg.Epochs {
 		t.Fatalf("Epochs has %d records, want %d", len(stats.Epochs), cfg.Epochs)
 	}
-	if len(stats.Losses) != len(stats.Epochs) {
-		t.Fatalf("Losses (%d) and Epochs (%d) disagree", len(stats.Losses), len(stats.Epochs))
-	}
 	for i, es := range stats.Epochs {
-		if es.Loss != stats.Losses[i] {
-			t.Errorf("epoch %d: Epochs.Loss %v != Losses %v", i, es.Loss, stats.Losses[i])
-		}
 		if es.Epoch != i {
 			t.Errorf("epoch record %d claims index %d", i, es.Epoch)
 		}

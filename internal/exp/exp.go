@@ -144,104 +144,62 @@ func (r poshgnnRec) StartBatch(rm *dataset.Room) sim.BatchStepper {
 	return r.m.StartBatchSession(rm, core.BatchOptions{Float32: r.f32})
 }
 
-// candidates flattens the (alpha, seed) grid in the canonical scan order:
-// alphas outer, seeds inner. Every grid consumer iterates this exact order
-// so the selected model is independent of training concurrency.
-func (s trainSpec) candidates() []struct {
-	alpha float64
-	seed  int64
-} {
-	grid := make([]struct {
-		alpha float64
-		seed  int64
-	}, 0, len(s.alphas)*len(s.seeds))
-	for _, alpha := range s.alphas {
-		for _, seed := range s.seeds {
-			grid = append(grid, struct {
-				alpha float64
-				seed  int64
-			}{alpha, seed})
-		}
+// selectModel trains every (alpha, seed) candidate of the grid over the
+// worker pool and returns the one with the highest validation score; train
+// builds, trains and scores one candidate. Each candidate is self-contained
+// (own config, own RNG seed), and the scan keeps the first strict maximum
+// in grid order (alphas outer, seeds inner), the winner a sequential scan
+// picks, so the selected model does not depend on training concurrency.
+func selectModel[M any](spec trainSpec, train func(alpha float64, seed int64) (M, float64, error)) (M, error) {
+	var none M
+	ns := len(spec.seeds)
+	models := make([]M, len(spec.alphas)*ns)
+	if len(models) == 0 {
+		return none, fmt.Errorf("exp: empty model-selection grid")
 	}
-	return grid
-}
-
-// argmaxFirst returns the index of the strictly largest value, preferring the
-// earliest index on ties — the same winner a sequential `v > bestVal` scan
-// in grid order picks.
-func argmaxFirst(vals []float64) int {
+	vals := make([]float64, len(models))
+	err := parallel.ForEachErr(len(models), func(k int) (err error) {
+		models[k], vals[k], err = train(spec.alphas[k/ns], spec.seeds[k%ns])
+		return err
+	})
+	if err != nil {
+		return none, err
+	}
 	best := 0
-	for i, v := range vals {
+	for k, v := range vals {
 		if v > vals[best] {
-			best = i
+			best = k
 		}
 	}
-	return best
+	return models[best], nil
 }
 
 // TrainPOSHGNN trains the model-selection grid and returns the candidate
 // with the highest validation utility. base supplies the ablation switches
 // (UseMIA/UseLWP) and any fixed hyperparameters.
-//
-// The candidates train concurrently over the parallel worker pool; each
-// candidate is fully self-contained (own config, own RNG seed), and the
-// winner is chosen by a sequential argmax over the canonical grid order, so
-// the selected model is bit-identical to a sequential grid scan.
 func TrainPOSHGNN(base core.Config, eps []core.Episode, valRoom *dataset.Room, spec trainSpec) (*core.POSHGNN, error) {
-	grid := spec.candidates()
-	if len(grid) == 0 {
-		return nil, fmt.Errorf("exp: empty model-selection grid")
-	}
-	models := make([]*core.POSHGNN, len(grid))
-	vals := make([]float64, len(grid))
-	err := parallel.ForEachErr(len(grid), func(k int) error {
+	return selectModel(spec, func(alpha float64, seed int64) (*core.POSHGNN, float64, error) {
 		cfg := base
-		cfg.Alpha = grid[k].alpha
-		cfg.Seed = grid[k].seed
-		cfg.Epochs = spec.epochs
+		cfg.Alpha, cfg.Seed, cfg.Epochs = alpha, seed, spec.epochs
 		m := core.New(cfg)
 		if _, err := m.Train(eps); err != nil {
-			return err
+			return nil, 0, err
 		}
 		v, err := validationUtility(POSHGNNRec(m, "cand"), valRoom)
-		if err != nil {
-			return err
-		}
-		models[k], vals[k] = m, v
-		return nil
+		return m, v, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return models[argmaxFirst(vals)], nil
 }
 
-// trainRecurrent selects a TGCN or DCRNN the same way, with per-epoch early
-// stopping on the validation room (the collapse-prone kernels often peak in
-// the middle of training). Candidates train concurrently like TrainPOSHGNN.
-func trainRecurrent(build func(cfg baselines.RecurrentConfig) *baselines.Recurrent,
+// trainRecurrent selects a TGCN or DCRNN over the same grid, with per-epoch
+// early stopping on the validation room (the collapse-prone kernels often
+// peak in the middle of training).
+func trainRecurrent(build func(baselines.RecurrentConfig) *baselines.Recurrent,
 	eps []core.Episode, valRoom *dataset.Room, spec trainSpec) (*baselines.Recurrent, error) {
-	grid := spec.candidates()
-	if len(grid) == 0 {
-		return nil, fmt.Errorf("exp: empty model-selection grid")
-	}
-	models := make([]*baselines.Recurrent, len(grid))
-	vals := make([]float64, len(grid))
-	err := parallel.ForEachErr(len(grid), func(k int) error {
-		m := build(baselines.RecurrentConfig{Alpha: grid[k].alpha, Seed: grid[k].seed, Epochs: spec.epochs})
-		v, err := m.TrainWithValidation(eps, func() (float64, error) {
-			return validationUtility(m, valRoom)
-		})
-		if err != nil {
-			return err
-		}
-		models[k], vals[k] = m, v
-		return nil
+	return selectModel(spec, func(alpha float64, seed int64) (*baselines.Recurrent, float64, error) {
+		m := build(baselines.RecurrentConfig{Alpha: alpha, Seed: seed, Epochs: spec.epochs})
+		v, err := m.Train(eps, func() (float64, error) { return validationUtility(m, valRoom) })
+		return m, v, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return models[argmaxFirst(vals)], nil
 }
 
 // Row is one method's metrics in a table.

@@ -1,7 +1,8 @@
 // Package nn provides the small neural-network building blocks used by
 // POSHGNN and the learned baselines: a named parameter registry, linear and
-// graph-convolution layers, a GRU cell, and the Adam optimizer from the
-// paper's training setup (Sec. V-A5).
+// graph-convolution layers, a GRU cell, the Adam optimizer from the paper's
+// training setup (Sec. V-A5), and the truncated-BPTT episode loop every
+// recurrent model trains through.
 package nn
 
 import (
@@ -258,4 +259,40 @@ func (a *Adam) Step() float64 {
 		t.ZeroGrad()
 	}
 	return norm
+}
+
+// TrainBPTT trains on one episode of steps steps with truncated
+// backpropagation through time. step(t) runs step t on the autodiff tape,
+// threading the caller's recurrent state, and returns the step's scalar
+// loss. After every window steps, and after the last step, the window's
+// losses are summed left to right and averaged, the mean is
+// back-propagated, opt takes one step, and cut detaches the caller's
+// recurrent state so the next window starts a fresh tape. It returns the
+// summed step losses, the summed pre-clip gradient norms and the number of
+// updates. A NaN window mean stops the episode before the update.
+func TrainBPTT(opt *Adam, steps, window int, step func(t int) *tensor.Tensor, cut func()) (loss, gradNorm float64, updates int, err error) {
+	var losses []*tensor.Tensor
+	for t := 0; t < steps; t++ {
+		l := step(t)
+		loss += l.Value.Data[0]
+		losses = append(losses, l)
+		if len(losses) < window && t < steps-1 {
+			continue
+		}
+		mean := losses[0]
+		for _, l := range losses[1:] {
+			mean = tensor.Add(mean, l)
+		}
+		mean = tensor.Scale(mean, 1/float64(len(losses)))
+		if mean.Value.HasNaN() {
+			return loss, gradNorm, updates, fmt.Errorf("nn: NaN loss in the BPTT window ending at step %d", t)
+		}
+		opt.params.ZeroGrad()
+		tensor.Backward(mean)
+		gradNorm += opt.Step()
+		updates++
+		losses = losses[:0]
+		cut()
+	}
+	return loss, gradNorm, updates, nil
 }

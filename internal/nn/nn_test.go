@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"after/internal/tensor"
@@ -314,5 +315,64 @@ func TestGraphConvSparseMatchesDense(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTrainBPTT drives the truncated-BPTT loop with step losses
+// l_t = (t+1)·w: it must update and cut after every full window and after
+// the last step, back-propagate each window's mean (so the pre-clip
+// gradient norm of an update is the mean of its window's t+1), return the
+// summed step losses, and stop a NaN window before the optimizer steps.
+func TestTrainBPTT(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		steps, window int
+		nanAt         int   // step whose loss is NaN, or -1
+		cuts          []int // the steps after which the loop updates and cuts
+		gradNorm      float64
+	}{
+		{"partial last window", 23, 10, -1, []int{9, 19, 22}, 5.5 + 15.5 + 22},
+		{"whole windows", 20, 10, -1, []int{9, 19}, 5.5 + 15.5},
+		{"window longer than the episode", 7, 10, -1, []int{6}, 4},
+		{"NaN loss", 5, 10, 3, nil, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := NewParams()
+			w := p.Register("w", tensor.Ones(1, 1))
+			opt := NewAdam(p, 0.1)
+			var cuts []int
+			cur, sum := 0, 0.0
+			loss, gradNorm, updates, err := TrainBPTT(opt, c.steps, c.window, func(step int) *tensor.Tensor {
+				cur = step
+				scale := float64(step + 1)
+				if step == c.nanAt {
+					scale = math.NaN()
+				}
+				l := tensor.Scale(w, scale)
+				sum += l.Value.Data[0]
+				return l
+			}, func() { cuts = append(cuts, cur) })
+			if (err != nil) != (c.nanAt >= 0) {
+				t.Fatalf("err = %v", err)
+			}
+			if !reflect.DeepEqual(cuts, c.cuts) {
+				t.Errorf("cuts after steps %v, want %v", cuts, c.cuts)
+			}
+			if updates != len(c.cuts) || opt.step != len(c.cuts) {
+				t.Errorf("%d updates, %d optimizer steps, want %d", updates, opt.step, len(c.cuts))
+			}
+			if math.Abs(gradNorm-c.gradNorm) > 1e-12 {
+				t.Errorf("summed gradient norm %v, want %v", gradNorm, c.gradNorm)
+			}
+			if err != nil {
+				if w.Value.Data[0] != 1 {
+					t.Errorf("NaN window moved the weight to %v", w.Value.Data[0])
+				}
+				return
+			}
+			if loss != sum {
+				t.Errorf("loss %v, want the summed step losses %v", loss, sum)
+			}
+		})
 	}
 }
