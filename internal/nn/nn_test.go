@@ -1,11 +1,15 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"after/internal/crowd"
+	"after/internal/geom"
+	"after/internal/occlusion"
 	"after/internal/tensor"
 )
 
@@ -112,6 +116,14 @@ func TestLinearTrainsToTarget(t *testing.T) {
 	}
 }
 
+// denseConv is the dense reference for GraphConv.ForwardSparse: the same
+// Eq. 1 convolution with the neighbour aggregation A·h as a dense product
+// over the N×N adjacency.
+func denseConv(g *GraphConv, h *tensor.Tensor, adj *tensor.Matrix) *tensor.Tensor {
+	neigh := tensor.MatMulT(tensor.Constant(adj), h)
+	return tensor.Add(tensor.MatMulT(h, g.M1), tensor.MatMulT(neigh, g.M2))
+}
+
 func TestGraphConvAggregatesNeighbors(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := NewParams()
@@ -126,7 +138,7 @@ func TestGraphConvAggregatesNeighbors(t *testing.T) {
 	adj.Set(1, 2, 1)
 	adj.Set(2, 1, 1)
 	h := tensor.Constant(tensor.FromColumn([]float64{1, 10, 100}))
-	out := g.Forward(h, adj)
+	out := denseConv(g, h, adj)
 	want := []float64{1 + 10, 10 + 101, 100 + 10}
 	for i, w := range want {
 		if math.Abs(out.Value.Data[i]-w) > 1e-12 {
@@ -141,7 +153,7 @@ func TestGraphConvIsolatedNodeSeesOnlySelf(t *testing.T) {
 	g := NewGraphConv(p, rng, "gc", 2, 2)
 	adj := tensor.NewMatrix(3, 3) // no edges
 	h := tensor.Constant(tensor.Randn(rng, 3, 2, 1))
-	out := g.Forward(h, adj)
+	out := denseConv(g, h, adj)
 	ref := tensor.MatMul(h.Value, g.M1.Value)
 	for i := range ref.Data {
 		if math.Abs(out.Value.Data[i]-ref.Data[i]) > 1e-12 {
@@ -267,51 +279,67 @@ func TestRestoreShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestGraphConvSparseMatchesDense pins ForwardSparse against the dense
-// reference Forward: values and parameter gradients must agree to ≤1e-12 on
-// random graphs (including edgeless ones).
+// TestGraphConvSparseMatchesDense pins ForwardSparse to the dense
+// reference: the value and the gradients of M1, M2 and h must agree in
+// every bit, on random graphs of up to 61 nodes (edgeless and complete ones
+// included) and on occlusion frames of edgeless, fully stacked and walking
+// crowds, at the convolution widths POSHGNN and the baselines use.
 func TestGraphConvSparseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + rng.Intn(20)
+	type graph struct {
+		name string
+		adj  *tensor.CSR
+	}
+	var graphs []graph
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(61)
+		p := []float64{0, 1, rng.Float64()}[min(trial, 2)]
 		adj := tensor.NewMatrix(n, n)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if trial > 0 && rng.Float64() < 0.3 { // trial 0: edgeless
+				if rng.Float64() < p {
 					adj.Set(i, j, 1)
 					adj.Set(j, i, 1)
 				}
 			}
 		}
 		csr := tensor.CSRFromDense(adj)
-		csr.Symmetric = true
+		csr.Val, csr.Symmetric = nil, true // implicit ones, like an occlusion frame
+		graphs = append(graphs, graph{fmt.Sprintf("random %d (n=%d p=%.2f)", trial, n, p), csr})
+	}
+	frame := func(name string, pos []geom.Vec2) {
+		g := occlusion.BuildStatic(0, pos, occlusion.DefaultAvatarRadius)
+		graphs = append(graphs, graph{name, g.AdjacencyCSR()})
+	}
+	frame("edgeless frame", []geom.Vec2{{}, {X: 8}, {Z: 8}, {X: -8}, {Z: -8}, {X: 8, Z: 8}})
+	frame("clique frame", []geom.Vec2{{}, {X: 0.04}, {X: -0.04}, {Z: 0.04}, {Z: -0.04}})
+	room := crowd.Rect{Max: geom.Vec2{X: 4, Z: 4}}
+	tr := crowd.NewSimulator(room, 30, 11, crowd.Config{}).Run(5, 0.5)
+	for ti, f := range occlusion.BuildDOG(0, tr, occlusion.DefaultAvatarRadius).Frames {
+		graphs = append(graphs, graph{fmt.Sprintf("crowd frame %d", ti), f.AdjacencyCSR()})
+	}
 
-		pd := NewParams()
-		gd := NewGraphConv(pd, rng, "gc", 3, 2)
-		ps := NewParams()
-		gs := NewGraphConv(ps, rng, "gc", 3, 2)
-		copy(gs.M1.Value.Data, gd.M1.Value.Data)
-		copy(gs.M2.Value.Data, gd.M2.Value.Data)
-
-		h := tensor.Randn(rng, n, 3, 1)
-		outD := gd.Forward(tensor.Constant(h), adj)
-		outS := gs.ForwardSparse(tensor.Constant(h), csr)
-		for i := range outD.Value.Data {
-			if math.Abs(outD.Value.Data[i]-outS.Value.Data[i]) > 1e-12 {
-				t.Fatalf("trial %d: forward values diverge at %d", trial, i)
+	for _, gr := range graphs {
+		n := gr.adj.Rows
+		for _, dims := range [][2]int{{3, 2}, {4, 8}, {21, 8}, {8, 8}, {8, 1}} {
+			p := NewParams()
+			g := NewGraphConv(p, rng, "gc", dims[0], dims[1])
+			h := tensor.Randn(rng, n, dims[0], 1)
+			run := func(conv func(h *tensor.Tensor) *tensor.Tensor) []*tensor.Matrix {
+				p.ZeroGrad()
+				hv := tensor.Variable(h.Clone())
+				out := conv(hv)
+				tensor.Backward(tensor.Sum(tensor.Mul(out, out)))
+				return []*tensor.Matrix{out.Value, g.M1.Grad(), g.M2.Grad(), hv.Grad()}
 			}
-		}
-		tensor.Backward(tensor.Sum(tensor.Mul(outD, outD)))
-		tensor.Backward(tensor.Sum(tensor.Mul(outS, outS)))
-		for _, pair := range [][2]*tensor.Tensor{{gd.M1, gs.M1}, {gd.M2, gs.M2}} {
-			gdg, gsg := pair[0].Grad(), pair[1].Grad()
-			if gdg == nil || gsg == nil {
-				t.Fatalf("trial %d: missing gradient", trial)
-			}
-			for i := range gdg.Data {
-				if math.Abs(gdg.Data[i]-gsg.Data[i]) > 1e-12 {
-					t.Fatalf("trial %d: parameter gradients diverge at %d: %v vs %v",
-						trial, i, gdg.Data[i], gsg.Data[i])
+			sparse := run(func(h *tensor.Tensor) *tensor.Tensor { return g.ForwardSparse(h, gr.adj) })
+			dense := run(func(h *tensor.Tensor) *tensor.Tensor { return denseConv(g, h, gr.adj.Dense()) })
+			for k, what := range []string{"value", "M1 gradient", "M2 gradient", "h gradient"} {
+				for i, v := range dense[k].Data {
+					if math.Float64bits(v) != math.Float64bits(sparse[k].Data[i]) {
+						t.Fatalf("%s, %d→%d: %s [%d] sparse %v, dense %v",
+							gr.name, dims[0], dims[1], what, i, sparse[k].Data[i], v)
+					}
 				}
 			}
 		}
