@@ -189,10 +189,10 @@ func BenchmarkSpMMWide(b *testing.B) {
 	x := tensor.GlorotUniform(rng, n, k*d)
 	b.Logf("n=%d targets=%d block=%d mean-edges=%d", n, k, d, edges/k)
 	b.Run("f64", func(b *testing.B) {
-		out := tensor.NewMatrix(n, k*d)
+		out, x := (*tensor.Dense[float64])(tensor.NewMatrix(n, k*d)), (*tensor.Dense[float64])(x)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tensor.SpMMBatchInto(out, graphs, x)
+			tensor.F64.SpMMBatchInto(out, graphs, x)
 		}
 	})
 	b.Run("f32", func(b *testing.B) {
@@ -200,7 +200,7 @@ func BenchmarkSpMMWide(b *testing.B) {
 		out := tensor.NewMatrix32(n, k*d)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tensor.SpMMBatchInto32(out, graphs, x32)
+			tensor.F32.SpMMBatchInto(out, graphs, x32)
 		}
 	})
 }

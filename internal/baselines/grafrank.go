@@ -121,34 +121,32 @@ func (b *GraFrank) train(room *dataset.Room) *tensor.Matrix {
 			x.Set(i, 0, rng.NormFloat64())
 		}
 	}
-	adj := tensor.NewMatrix(n, n)
-	for u := 0; u < n; u++ {
-		for _, v := range room.Graph.Neighbors(u) {
-			adj.Set(u, v, 1/float64(room.Graph.Degree(u))) // row-normalized
-		}
-	}
-
 	params := nn.NewParams()
 	l1 := nn.NewGraphConv(params, rng, "gf.l1", featDim, dim)
 	l2 := nn.NewGraphConv(params, rng, "gf.l2", dim, dim)
 	opt := nn.NewAdam(params, 0.01)
 
-	// Collect positive edges once.
+	// Collect the positive edges once; their sorted neighbor rows are the
+	// adjacency, which the encoder propagates over row-normalized (D⁻¹A).
 	type edge struct{ u, v int }
 	var edges []edge
+	rowPtr, col := make([]int32, n+1), []int32(nil)
 	for u := 0; u < n; u++ {
 		for _, v := range room.Graph.Neighbors(u) {
 			edges = append(edges, edge{u, v})
+			col = append(col, int32(v))
 		}
+		rowPtr[u+1] = int32(len(col))
 	}
 	if len(edges) == 0 {
 		// Edgeless room: any embedding is as good as another.
 		return tensor.Randn(rng, n, dim, 0.1)
 	}
+	adj := tensor.NewCSR(n, n, rowPtr, col, nil, true).RowNormalized()
 
 	encode := func() *tensor.Tensor {
-		h := tensor.ReLU(l1.Forward(tensor.Constant(x), adj))
-		return l2.Forward(h, adj)
+		h := tensor.ReLU(l1.ForwardSparse(tensor.Constant(x), adj))
+		return l2.ForwardSparse(h, adj)
 	}
 	const batch = 16
 	for it := 0; it < iters; it++ {

@@ -266,11 +266,14 @@ func TestWidthOneViewMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBatchStepAllocs: the fused pass must stay off the allocator — pooled
-// scratch leaves only the returned rendered sets and the decode order
-// buffers. The budget is deliberately loose (16 allocations per target plus
-// constant slack) but two orders of magnitude below the sequential tape.
+// TestBatchStepAllocs: the fused pass must stay off the allocator. Pooled
+// scratch and closure-free kernel dispatch leave 2·K + 1 allocations for K
+// targets: each target's decode heap and rendered set, and the result
+// slice.
 func TestBatchStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random, so the count holds only without it")
+	}
 	room := movingRoom(4, 41)
 	m := New(Config{UseMIA: true, UseLWP: true, Seed: 11})
 	targets := []int{0, 3, 6, 9, 12}
@@ -290,7 +293,7 @@ func TestBatchStepAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		bs.StepTargets(3, targets, frames)
 	})
-	budget := float64(16*len(targets) + 16)
+	budget := float64(2*len(targets) + 1)
 	if allocs > budget {
 		t.Fatalf("batched step allocates %.0f/step for %d targets, budget %.0f", allocs, len(targets), budget)
 	}

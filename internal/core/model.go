@@ -99,11 +99,6 @@ type POSHGNN struct {
 
 	pdr1, pdr2       *nn.GraphConv
 	lwp1, lwp2, lwp3 *nn.GraphConv
-
-	// denseAdj routes forward's graph convolutions through the densified
-	// CSR instead of the sparse kernels. Only in-package reference tests set
-	// it, to pin the sparse path to ≤1e-12 agreement with the dense one.
-	denseAdj bool
 }
 
 // New builds an untrained POSHGNN with Glorot-initialized weights.
@@ -159,20 +154,10 @@ func (m *POSHGNN) forward(room *dataset.Room, frame, prev *occlusion.StaticGraph
 	x := tensor.Constant(agg.X)
 	maskT := tensor.Constant(agg.Mask)
 
-	// conv dispatches one graph convolution through the sparse CSR kernel
-	// (O(E·d) message passing, backward reuses the symmetric CSR) or, for the
-	// in-package reference tests, the densified adjacency.
-	conv := func(gc *nn.GraphConv, in *tensor.Tensor) *tensor.Tensor {
-		if m.denseAdj {
-			return gc.Forward(in, agg.Adj.Dense())
-		}
-		return gc.ForwardSparse(in, agg.Adj)
-	}
-
 	// PDR (Eq. 1): two graph convolutions; the hidden layer doubles as h_t.
 	spPDR := obs.Begin("pdr")
-	h := tensor.ReLU(conv(m.pdr1, x))
-	rTilde := tensor.Sigmoid(conv(m.pdr2, h))
+	h := tensor.ReLU(m.pdr1.ForwardSparse(x, agg.Adj))
+	rTilde := tensor.Sigmoid(m.pdr2.ForwardSparse(h, agg.Adj))
 	spPDR.End()
 
 	if !m.cfg.UseLWP {
@@ -187,9 +172,9 @@ func (m *POSHGNN) forward(room *dataset.Room, frame, prev *occlusion.StaticGraph
 		prevH = tensor.Constant(tensor.NewMatrix(n, m.cfg.Hidden))
 	}
 	lwpIn := tensor.Concat(x, tensor.Constant(agg.Delta), prevH, prevR)
-	z := tensor.ReLU(conv(m.lwp1, lwpIn))
-	z = tensor.ReLU(conv(m.lwp2, z))
-	sigma := tensor.Sigmoid(conv(m.lwp3, z))
+	z := tensor.ReLU(m.lwp1.ForwardSparse(lwpIn, agg.Adj))
+	z = tensor.ReLU(m.lwp2.ForwardSparse(z, agg.Adj))
+	sigma := tensor.Sigmoid(m.lwp3.ForwardSparse(z, agg.Adj))
 
 	// Preservation gate: r_t = m_t ⊗ [(1−σ)⊗r̃_t + σ⊗r_{t−1}].
 	ones := tensor.Constant(tensor.Ones(n, 1))

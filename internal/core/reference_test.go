@@ -9,8 +9,7 @@ import (
 // refSession is the autodiff reference stepper the fused inference path is
 // pinned against: the training forward pass on the tape, then
 // decodeRecommendation (or plain thresholding under RawDecode), carrying
-// r_{t-1} and h_{t-1} as detached tensors between steps. It honours the
-// model's denseAdj knob, so it also serves as the dense-adjacency reference.
+// r_{t-1} and h_{t-1} as detached tensors between steps.
 type refSession struct {
 	m         *POSHGNN
 	room      *dataset.Room

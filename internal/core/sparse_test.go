@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"after/internal/crowd"
@@ -56,90 +55,6 @@ func edgelessRoom() *dataset.Room {
 // complete graph over the non-target users.
 func cliqueRoom() *dataset.Room {
 	return plainRoom([]geom.Vec2{{}, {X: 0.04}, {X: -0.04}, {Z: 0.04}, {Z: -0.04}}, 3)
-}
-
-// runSessionProbs advances a fresh autodiff reference stepper over every
-// frame of the room's DOG and records the per-step probability vector r_t.
-func runSessionProbs(m *POSHGNN, room *dataset.Room, target int) [][]float64 {
-	dog := occlusion.BuildDOG(target, room.Traj, room.AvatarRadius)
-	sess := startRef(m, room, target)
-	out := make([][]float64, 0, len(dog.Frames))
-	for ti, frame := range dog.Frames {
-		sess.Step(ti, frame)
-		probs := append([]float64(nil), sess.Probabilities()...)
-		out = append(out, probs)
-	}
-	return out
-}
-
-// TestForwardSparseMatchesDense is the tentpole property test: with identical
-// weights, the sparse CSR message-passing path must reproduce the dense
-// adjacency path to ≤1e-12 at every step, on random moving rooms as well as
-// hand-built edgeless and fully-occluded scenes.
-func TestForwardSparseMatchesDense(t *testing.T) {
-	rooms := map[string]*dataset.Room{
-		"moving-a": movingRoom(6, 31),
-		"moving-b": movingRoom(6, 32),
-		"edgeless": edgelessRoom(),
-		"clique":   cliqueRoom(),
-	}
-	for name, room := range rooms {
-		for _, cfg := range []Config{
-			{UseMIA: true, UseLWP: true, Seed: 9},
-			{UseMIA: false, UseLWP: false, Seed: 9},
-		} {
-			sparse := New(cfg)
-			dense := New(cfg)
-			if err := sparse.Params().CopyTo(dense.Params()); err != nil {
-				t.Fatal(err)
-			}
-			dense.denseAdj = true
-			sp := runSessionProbs(sparse, room, 0)
-			dp := runSessionProbs(dense, room, 0)
-			for ti := range sp {
-				for w := range sp[ti] {
-					if d := math.Abs(sp[ti][w] - dp[ti][w]); d > 1e-12 {
-						t.Fatalf("%s (MIA=%v) step %d user %d: |sparse-dense|=%g",
-							name, cfg.UseMIA, ti, w, d)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestTrainSparseMatchesDense extends the equivalence through training: the
-// per-epoch losses of the sparse and dense paths must agree to ≤1e-9 (the
-// looser bound absorbs accumulation across BPTT windows and Adam steps).
-func TestTrainSparseMatchesDense(t *testing.T) {
-	cfg := Config{UseMIA: true, UseLWP: true, Epochs: 3, Seed: 13}
-	room := movingRoom(8, 33)
-	eps := []Episode{{Room: room, Target: 0}}
-
-	sparse := New(cfg)
-	dense := New(cfg)
-	if err := sparse.Params().CopyTo(dense.Params()); err != nil {
-		t.Fatal(err)
-	}
-	dense.denseAdj = true
-	ss, err := sparse.Train(eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := dense.Train(eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl, dl := ss.Epochs, ds.Epochs
-	if len(sl) != len(dl) {
-		t.Fatalf("epoch count mismatch: %d vs %d", len(sl), len(dl))
-	}
-	for e := range sl {
-		if d := math.Abs(sl[e].Loss - dl[e].Loss); d > 1e-9 {
-			t.Fatalf("epoch %d: |sparse-dense| loss = %g (sparse %g dense %g)",
-				e, d, sl[e].Loss, dl[e].Loss)
-		}
-	}
 }
 
 // TestRawDecodeBudgetZeroMeansUnlimited pins the MaxRender budget convention

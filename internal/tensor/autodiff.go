@@ -386,35 +386,3 @@ func Concat(ts ...*Tensor) *Tensor {
 // gradient flow. POSHGNN uses it for truncated BPTT on r_{t-1} and h_{t-1}
 // when configured.
 func Detach(a *Tensor) *Tensor { return Constant(a.Value.Clone()) }
-
-// QuadraticForm returns the scalar rᵀ·A·r for a column vector tensor r and a
-// constant adjacency matrix A: the occlusion penalty of the POSHGNN loss.
-func QuadraticForm(r *Tensor, a *Matrix) *Tensor {
-	if r.Value.Cols != 1 || a.Rows != a.Cols || a.Rows != r.Value.Rows {
-		panic(fmt.Sprintf("tensor: QuadraticForm r %dx%d, A %dx%d",
-			r.Value.Rows, r.Value.Cols, a.Rows, a.Cols))
-	}
-	ar := MatMul(a, r.Value) // |V|×1, captured by the backward closure
-	v := NewMatrix(1, 1)
-	for i := 0; i < r.Value.Rows; i++ {
-		v.Data[0] += r.Value.Data[i] * ar.Data[i]
-	}
-	out := newOp(v, r)
-	out.back = func() {
-		// ∂(rᵀAr)/∂r = (A + Aᵀ)·r
-		ws := defaultWorkspace
-		at := ws.Get(a.Cols, a.Rows)
-		a.TransposedInto(at)
-		atr := ws.Get(at.Rows, 1)
-		MatMulInto(atr, at, r.Value)
-		ws.Put(at)
-		g := ws.Get(r.Value.Rows, 1)
-		for i := range g.Data {
-			g.Data[i] = (ar.Data[i] + atr.Data[i]) * out.grad.Data[0]
-		}
-		ws.Put(atr)
-		r.accumulate(g)
-		ws.Put(g)
-	}
-	return out
-}

@@ -170,23 +170,6 @@ func TestGradConcat(t *testing.T) {
 	checkGrad(t, "concat/b", tb.Grad(), numericalGrad(b, f))
 }
 
-func TestGradQuadraticForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	r := Randn(rng, 5, 1, 1)
-	adj := Randn(rng, 5, 5, 1)
-	tr := Variable(r)
-	Backward(QuadraticForm(tr, adj))
-	f := func() float64 {
-		ar := MatMul(adj, r)
-		s := 0.0
-		for i := 0; i < 5; i++ {
-			s += r.Data[i] * ar.Data[i]
-		}
-		return s
-	}
-	checkGrad(t, "quadform", tr.Grad(), numericalGrad(r, f))
-}
-
 func TestGradAccumulatesOverReuse(t *testing.T) {
 	// y = sum(a) + sum(a) should give gradient 2 everywhere.
 	a := FromSlice(2, 2, []float64{1, 2, 3, 4})

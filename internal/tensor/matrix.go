@@ -1,10 +1,13 @@
 // Package tensor implements the numerical substrate of the POSHGNN
-// reproduction: dense row-major float64 matrices and a reverse-mode
-// automatic-differentiation engine over them.
+// reproduction: dense row-major float64 matrices, CSR sparse matrices, a
+// reverse-mode automatic-differentiation engine over them, and the SpMM and
+// dense-product kernels (batch.go) that both training and inference run.
+// SpMMInto and MatMulInto are the float64 kernel set F64's one-graph and
+// one-block faces, so there is one float64 implementation of each product.
 //
 // The networks in the paper are tiny (hidden dimension 8, two to three
-// layers, at most a few hundred nodes per room), so dense CPU matrices
-// reproduce training faithfully without any external framework.
+// layers, at most a few hundred nodes per room), so CPU matrices reproduce
+// training faithfully without any external framework.
 package tensor
 
 import (
@@ -131,30 +134,10 @@ func MatMul(m, n *Matrix) *Matrix {
 	return out
 }
 
-// MatMulInto computes m·n into dst (which must be m.Rows×n.Cols and is
-// zeroed first) — the allocation-free MatMul for scratch-buffer callers.
+// MatMulInto computes m·n into dst (m.Rows×n.Cols, fully overwritten): the
+// one-block face of F64.MatMulBlocksInto, for scratch-buffer callers.
 func MatMulInto(dst, m, n *Matrix) {
-	if m.Cols != n.Rows {
-		panic(fmt.Sprintf("tensor: MatMul %dx%d × %dx%d", m.Rows, m.Cols, n.Rows, n.Cols))
-	}
-	if dst.Rows != m.Rows || dst.Cols != n.Cols {
-		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d for %dx%d result", dst.Rows, dst.Cols, m.Rows, n.Cols))
-	}
-	dst.Zero()
-	// ikj loop order keeps the inner loop sequential over both n and dst.
-	for i := 0; i < m.Rows; i++ {
-		mRow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		outRow := dst.Data[i*n.Cols : (i+1)*n.Cols]
-		for k, mv := range mRow {
-			if mv == 0 {
-				continue
-			}
-			nRow := n.Data[k*n.Cols : (k+1)*n.Cols]
-			for j, nv := range nRow {
-				outRow[j] += mv * nv
-			}
-		}
-	}
+	F64.MatMulBlocksInto((*Dense[float64])(dst), (*Dense[float64])(m), (*Dense[float64])(n), 1)
 }
 
 // Transposed returns a new matrix that is the transpose of m.

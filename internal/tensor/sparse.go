@@ -171,7 +171,7 @@ func (c *CSR) RowNormalized() *CSR {
 	return c.rn
 }
 
-// spmmParallelCutoff is the multiply-add count below which SpMMInto stays on
+// spmmParallelCutoff is the multiply-add count below which an SpMM stays on
 // the calling goroutine: tiny products (the hidden dimension is 8 and most
 // rooms have a few thousand edges) lose more to fan-out overhead than the
 // extra cores return. Above it, rows are split into contiguous blocks over
@@ -187,42 +187,11 @@ func SpMM(a *CSR, x *Matrix) *Matrix {
 	return dst
 }
 
-// SpMMInto computes a·x into dst (a.Rows×x.Cols, zeroed first) — the
-// pooled-workspace variant: route dst through a Workspace to keep the hot
-// path allocation-free. Cost is O(NNZ·d); large products are row-parallel
-// over the internal/parallel pool.
+// SpMMInto computes a·x into dst (a.Rows×x.Cols, fully overwritten): the
+// one-graph face of F64.SpMMBatchInto. Cost is O(NNZ·d); large products are
+// row-parallel over the internal/parallel pool.
 func SpMMInto(dst *Matrix, a *CSR, x *Matrix) {
-	if a.Cols != x.Rows {
-		panic(fmt.Sprintf("tensor: SpMM %dx%d × %dx%d", a.Rows, a.Cols, x.Rows, x.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != x.Cols {
-		panic(fmt.Sprintf("tensor: SpMMInto dst %dx%d for %dx%d result", dst.Rows, dst.Cols, a.Rows, x.Cols))
-	}
-	d := x.Cols
-	forRowBlocks(a.Rows, a.NNZ()*d, spmmParallelCutoff, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			outRow := dst.Data[i*d : (i+1)*d]
-			for j := range outRow {
-				outRow[j] = 0
-			}
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				v := a.at(k)
-				if v == 0 {
-					continue
-				}
-				xRow := x.Data[int(a.Col[k])*d : (int(a.Col[k])+1)*d]
-				if v == 1 {
-					for j, xv := range xRow {
-						outRow[j] += xv
-					}
-					continue
-				}
-				for j, xv := range xRow {
-					outRow[j] += v * xv
-				}
-			}
-		}
-	})
+	F64.SpMMBatchInto((*Dense[float64])(dst), []*CSR{a}, (*Dense[float64])(x))
 }
 
 // SpMMT returns the autodiff node for a·x with a constant sparse a: the
