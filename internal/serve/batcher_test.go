@@ -283,7 +283,7 @@ func TestSingleUserTargetEdge(t *testing.T) {
 	s := newTestServer(t, Config{})
 	mustCreate(t, s, RoomSpec{Name: "r", Users: 2})
 	mustFrame(t, s, "r", 0, framePos(2, 0))
-	res, err := s.Recommend(context.Background(), "r", 1, 0)
+	res, err := s.Recommend(context.Background(), "r", 1, answerDeadline)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,6 +62,12 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// answerDeadline is the budget of a test request that must be answered:
+// Config's default MaxDeadline, far above scheduling noise. The 50 ms
+// default deadline can expire in the batch queue while other packages'
+// tests load every CPU.
+const answerDeadline = time.Second
+
 // framePos builds a deterministic full-length frame for step t.
 func framePos(n, t int) []geom.Vec2 {
 	pos := make([]geom.Vec2, n)
@@ -102,7 +108,7 @@ func TestServeHappyPath(t *testing.T) {
 	if !ack.Applied || ack.Repaired {
 		t.Fatalf("ack %+v", ack)
 	}
-	res, err := s.Recommend(context.Background(), "r", 3, 0)
+	res, err := s.Recommend(context.Background(), "r", 3, answerDeadline)
 	if err != nil {
 		t.Fatalf("Recommend: %v", err)
 	}
@@ -173,7 +179,7 @@ func TestFrameStaleIndexDropped(t *testing.T) {
 	if ack := mustFrame(t, s, "r", 3, framePos(8, 99)); ack.Applied {
 		t.Fatal("regressed index applied")
 	}
-	res, err := s.Recommend(context.Background(), "r", 0, 0)
+	res, err := s.Recommend(context.Background(), "r", 0, answerDeadline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +201,7 @@ func TestFrameSanitized(t *testing.T) {
 	if ack := mustFrame(t, s, "r", 1, framePos(8, 1)[:5]); !ack.Repaired {
 		t.Fatal("short frame not flagged as repaired")
 	}
-	if _, err := s.Recommend(context.Background(), "r", 0, 0); err != nil {
+	if _, err := s.Recommend(context.Background(), "r", 0, answerDeadline); err != nil {
 		t.Fatalf("recommend after repaired frames: %v", err)
 	}
 }
@@ -303,7 +309,7 @@ func TestDrainLifecycle(t *testing.T) {
 	base := "http://" + addr
 	mustCreate(t, s, RoomSpec{Name: "r", Users: 8})
 	mustFrame(t, s, "r", 0, framePos(8, 0))
-	if _, err := s.Recommend(context.Background(), "r", 0, 0); err != nil {
+	if _, err := s.Recommend(context.Background(), "r", 0, answerDeadline); err != nil {
 		t.Fatal(err)
 	}
 
