@@ -7,6 +7,7 @@ import (
 	"after/internal/dataset"
 	"after/internal/occlusion"
 	"after/internal/sim"
+	"after/internal/tensor"
 )
 
 // MvAGC is the grouping-based baseline [66]: graph-filter-based attributed
@@ -62,45 +63,43 @@ func (b MvAGC) StartEpisode(room *dataset.Room, target int) sim.Stepper {
 }
 
 // filteredFeatures low-passes the room's node features over its social
-// graph: X ← Ŝ·X repeated order times, Ŝ = D^{-1/2}(A+I)D^{-1/2}.
+// graph: X ← Ŝ·X repeated order times, Ŝ = D^{-1/2}(A+I)D^{-1/2}. SpMM sums
+// each row in stored order, so each row of Ŝ stores its self loop first and
+// then the sorted neighbors, which fixes the features' bits.
 func filteredFeatures(room *dataset.Room, order int) [][]float64 {
 	n := room.N
-	dim := 0
-	if room.Interests != nil && len(room.Interests) == n && len(room.Interests[0]) > 0 {
+	interests := room.Interests != nil && len(room.Interests) == n && len(room.Interests[0]) > 0
+	dim := 1 // fallback: one structural feature, the degree
+	if interests {
 		dim = len(room.Interests[0])
 	}
-	x := make([][]float64, n)
-	for i := range x {
-		if dim > 0 {
-			x[i] = append([]float64(nil), room.Interests[i]...)
-		} else {
-			// Fallback: one-hot-ish structural feature (normalized degree).
-			x[i] = []float64{float64(room.Graph.Degree(i))}
-		}
-	}
+	x := tensor.NewMatrix(n, dim)
 	invSqrtDeg := make([]float64, n)
 	for i := 0; i < n; i++ {
+		if interests {
+			copy(x.Data[i*dim:(i+1)*dim], room.Interests[i])
+		} else {
+			x.Data[i] = float64(room.Graph.Degree(i))
+		}
 		invSqrtDeg[i] = 1 / math.Sqrt(float64(room.Graph.Degree(i))+1)
 	}
-	for pass := 0; pass < order; pass++ {
-		next := make([][]float64, n)
-		for i := 0; i < n; i++ {
-			row := make([]float64, len(x[i]))
-			// Self loop.
-			for d := range row {
-				row[d] = invSqrtDeg[i] * invSqrtDeg[i] * x[i][d]
-			}
-			for _, j := range room.Graph.Neighbors(i) {
-				w := invSqrtDeg[i] * invSqrtDeg[j]
-				for d := range row {
-					row[d] += w * x[j][d]
-				}
-			}
-			next[i] = row
+	rowPtr, col, val := make([]int32, n+1), []int32(nil), []float64(nil)
+	for i := 0; i < n; i++ {
+		col, val = append(col, int32(i)), append(val, invSqrtDeg[i]*invSqrtDeg[i])
+		for _, j := range room.Graph.Neighbors(i) {
+			col, val = append(col, int32(j)), append(val, invSqrtDeg[i]*invSqrtDeg[j])
 		}
-		x = next
+		rowPtr[i+1] = int32(len(col))
 	}
-	return x
+	s := tensor.NewCSR(n, n, rowPtr, col, val, true)
+	for pass := 0; pass < order; pass++ {
+		x = tensor.SpMM(s, x)
+	}
+	feats := make([][]float64, n)
+	for i := range feats {
+		feats[i] = x.Data[i*dim : (i+1)*dim]
+	}
+	return feats
 }
 
 // kmeans clusters rows into k groups with Lloyd's algorithm and k-means++
