@@ -147,6 +147,9 @@ func (k *Kernels[F]) SpMMBatchInto(dst *Dense[F], graphs []*CSR, x *Dense[F]) {
 		panic(fmt.Sprintf("tensor: SpMMBatchInto dst %dx%d for %dx%d result", dst.Rows, dst.Cols, rows, x.Cols))
 	}
 	if chunk := rowChunk(rows, work, spmmParallelCutoff); chunk < rows {
+		// The escaping closure captures a copy, which keeps the caller's
+		// slice (SpMMInto's one-graph literal) off the heap.
+		graphs := append([]*CSR(nil), graphs...)
 		forRowChunks(rows, chunk, func(lo, hi int) { k.spmmRows(dst, graphs, x, lo, hi) })
 	} else {
 		k.spmmRows(dst, graphs, x, 0, rows)
