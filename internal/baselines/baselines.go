@@ -13,7 +13,6 @@ package baselines
 
 import (
 	"math/rand"
-	"sort"
 
 	"after/internal/dataset"
 	"after/internal/occlusion"
@@ -92,29 +91,49 @@ type nearestSession struct {
 	k      int
 	target int
 	n      int
+	heap   []int // Step's scratch: the k nearest so far, farthest on top
 }
 
 // StartEpisode begins a nearest-k episode.
 func (b Nearest) StartEpisode(room *dataset.Room, target int) sim.Stepper {
-	return &nearestSession{k: clampK(b.K, room.N), target: target, n: room.N}
+	k := clampK(b.K, room.N)
+	return &nearestSession{k: k, target: target, n: room.N, heap: make([]int, 0, k)}
 }
 
+// Step renders the k users that come first in (distance, user index)
+// order: of users at exactly the same distance, the lower index wins. A
+// max-heap bounded at k keeps the first k seen so far, so a step costs
+// O(N log k) instead of a sort of all N−1 candidates.
 func (s *nearestSession) Step(t int, frame *occlusion.StaticGraph) []bool {
-	type cand struct {
-		id   int
-		dist float64
-	}
-	cands := make([]cand, 0, s.n-1)
+	dist, h := frame.Dist, s.heap[:0]
+	after := func(u, w int) bool { return dist[u] > dist[w] || dist[u] == dist[w] && u > w }
 	for w := 0; w < s.n; w++ {
-		if w == s.target {
-			continue
+		switch {
+		case w == s.target:
+		case len(h) < s.k:
+			h = append(h, w)
+			for i := len(h) - 1; i > 0 && after(h[i], h[(i-1)/2]); i = (i - 1) / 2 {
+				h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+			}
+		case after(h[0], w):
+			h[0] = w
+			for i := 0; ; {
+				c := 2*i + 1
+				if c+1 < len(h) && after(h[c+1], h[c]) {
+					c++
+				}
+				if c >= len(h) || !after(h[c], h[i]) {
+					break
+				}
+				h[i], h[c] = h[c], h[i]
+				i = c
+			}
 		}
-		cands = append(cands, cand{w, frame.Dist[w]})
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].dist < cands[b].dist })
+	s.heap = h
 	rendered := make([]bool, s.n)
-	for i := 0; i < s.k && i < len(cands); i++ {
-		rendered[cands[i].id] = true
+	for _, w := range h {
+		rendered[w] = true
 	}
 	return rendered
 }

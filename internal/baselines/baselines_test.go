@@ -2,6 +2,9 @@ package baselines
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"after/internal/core"
@@ -90,6 +93,47 @@ func TestNearestBaseline(t *testing.T) {
 	}
 	if maxIn > minOut+1e-12 {
 		t.Errorf("nearest violated: in=%v out=%v", maxIn, minOut)
+	}
+}
+
+// TestNearestMatchesSortReference holds Nearest's bounded selection to a
+// full sort of the candidates by (distance, user index). Distances are
+// drawn from a few values, so exact ties straddle the k-th place, and each
+// session steps several frames, so its scratch is reused.
+func TestNearestMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(40)
+		target, k := rng.Intn(n), 1+rng.Intn(n-1)
+		s := Nearest{K: k}.StartEpisode(&dataset.Room{N: n}, target)
+		levels := 1 + rng.Intn(4)
+		for step := 0; step < 3; step++ {
+			dist := make([]float64, n)
+			for w := range dist {
+				if w != target {
+					dist[w] = float64(rng.Intn(levels)) / 2
+				}
+			}
+			var cands []int
+			for w := 0; w < n; w++ {
+				if w != target {
+					cands = append(cands, w)
+				}
+			}
+			sort.Slice(cands, func(a, b int) bool {
+				u, w := cands[a], cands[b]
+				return dist[u] < dist[w] || dist[u] == dist[w] && u < w
+			})
+			want := make([]bool, n)
+			for _, w := range cands[:k] {
+				want[w] = true
+			}
+			got := s.Step(step, &occlusion.StaticGraph{N: n, Target: target, Dist: dist})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d step %d (n=%d k=%d target=%d dist=%v): rendered %v, want %v",
+					trial, step, n, k, target, dist, got, want)
+			}
+		}
 	}
 }
 
