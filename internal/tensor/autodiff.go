@@ -3,17 +3,22 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Tensor is a node in the reverse-mode autodiff graph. Value holds the
 // forward result; grad accumulates ∂L/∂Value during Backward. Tensors that
 // come from Variable participate in gradient computation; Constant tensors
-// are treated as fixed inputs.
+// are treated as fixed inputs. An op node inherits the arena (see Bind) of
+// its first parent that has one, and draws its value, gradient and backward
+// temporaries from it; nodes with no bound ancestor allocate.
 type Tensor struct {
 	Value    *Matrix
 	grad     *Matrix
 	parents  []*Tensor
 	back     func()
+	arena    *Arena
+	stamp    uint64 // the number of the last walk that visited the node
 	requires bool
 }
 
@@ -29,8 +34,15 @@ func Constant(m *Matrix) *Tensor { return &Tensor{Value: m} }
 func (t *Tensor) Grad() *Matrix { return t.grad }
 
 // ZeroGrad clears the accumulated gradient so the tensor can be reused in a
-// later backward pass.
-func (t *Tensor) ZeroGrad() { t.grad = nil }
+// later backward pass. A bound tensor releases it to its arena.
+func (t *Tensor) ZeroGrad() {
+	t.arena.put(t.grad)
+	t.grad = nil
+}
+
+// Bind makes a the arena of t's gradient and of every node later built on
+// t, until Bind(nil); nn binds parameters to it while a BPTT episode trains.
+func (t *Tensor) Bind(a *Arena) { t.arena = a }
 
 // Rows returns the row count of the underlying value.
 func (t *Tensor) Rows() int { return t.Value.Rows }
@@ -38,30 +50,88 @@ func (t *Tensor) Rows() int { return t.Value.Rows }
 // Cols returns the column count of the underlying value.
 func (t *Tensor) Cols() int { return t.Value.Cols }
 
-// accumulate folds g into t's gradient. It never retains g (the first
-// accumulation deep-copies, later ones add element-wise), which is what lets
-// every back function below route its temporaries through the scratch
-// workspace and return them immediately after accumulating.
+// accumulate folds g, a gradient its producer keeps (the output gradient a
+// pass-through op hands each parent), into t's gradient: the first
+// accumulation copies it into a buffer of t's arena.
 func (t *Tensor) accumulate(g *Matrix) {
 	if !t.requires {
 		return
 	}
 	if t.grad == nil {
-		t.grad = g.Clone()
+		t.grad = t.arena.get(g.Rows, g.Cols)
+		copy(t.grad.Data, g.Data)
 		return
 	}
 	t.grad.AddInPlace(g)
 }
 
-func newOp(value *Matrix, parents ...*Tensor) *Tensor {
-	req := false
+// adopt folds g, a buffer the calling back function drew from the arena and
+// gives up, into t's gradient: the first accumulation keeps g itself, later
+// ones add it in and release it.
+func (t *Tensor) adopt(g *Matrix) {
+	switch {
+	case !t.requires:
+	case t.grad == nil:
+		t.grad = g
+	default:
+		t.grad.AddInPlace(g)
+		t.arena.put(g)
+	}
+}
+
+// newOp returns the node of an op over parents, with a rows×cols value of
+// undefined contents for the op to fill.
+func newOp(rows, cols int, parents ...*Tensor) *Tensor {
+	out := &Tensor{parents: parents}
 	for _, p := range parents {
-		if p.requires {
-			req = true
-			break
+		out.requires = out.requires || p.requires
+		if out.arena == nil {
+			out.arena = p.arena
 		}
 	}
-	return &Tensor{Value: value, parents: parents, requires: req}
+	out.Value = out.arena.get(rows, cols)
+	return out
+}
+
+// walks numbers graph walks. A node the current walk has visited carries
+// the walk's number in its stamp, so a walk needs no visited set.
+var walks atomic.Uint64
+
+// walker is a graph walk's scratch; an arena keeps one for all its walks.
+type walker struct {
+	order []*Tensor
+	stack []walkFrame
+}
+
+type walkFrame struct {
+	n    *Tensor
+	next int
+}
+
+// walk returns root and every node of its graph that requires a gradient,
+// each after its parents, by an iterative post-order DFS. A node that
+// requires no gradient has no parent that does, so the walk skips nothing a
+// backward pass needs.
+func (w *walker) walk(root *Tensor) []*Tensor {
+	stamp := walks.Add(1)
+	root.stamp = stamp
+	order, stack := w.order[:0], append(w.stack[:0], walkFrame{n: root})
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.next < len(f.n.parents) {
+			p := f.n.parents[f.next]
+			f.next++
+			if p.requires && p.stamp != stamp {
+				p.stamp = stamp
+				stack = append(stack, walkFrame{n: p})
+			}
+			continue
+		}
+		order = append(order, f.n)
+		stack = stack[:len(stack)-1]
+	}
+	w.order, w.stack = order, stack
+	return order
 }
 
 // Backward runs reverse-mode differentiation from t, which must be a 1×1
@@ -70,30 +140,13 @@ func Backward(t *Tensor) {
 	if t.Value.Rows != 1 || t.Value.Cols != 1 {
 		panic(fmt.Sprintf("tensor: Backward on non-scalar %dx%d", t.Value.Rows, t.Value.Cols))
 	}
-	// Topological order via iterative post-order DFS.
-	var order []*Tensor
-	seen := map[*Tensor]bool{}
-	type frame struct {
-		n    *Tensor
-		next int
+	w := &walker{}
+	if t.arena != nil {
+		w = &t.arena.walker
 	}
-	stack := []frame{{n: t}}
-	seen[t] = true
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(f.n.parents) {
-			p := f.n.parents[f.next]
-			f.next++
-			if !seen[p] {
-				seen[p] = true
-				stack = append(stack, frame{n: p})
-			}
-			continue
-		}
-		order = append(order, f.n)
-		stack = stack[:len(stack)-1]
-	}
-	t.grad = Ones(1, 1)
+	order := w.walk(t)
+	t.grad = t.arena.get(1, 1)
+	t.grad.Data[0] = 1
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		if n.back != nil && n.grad != nil && n.requires {
@@ -104,7 +157,11 @@ func Backward(t *Tensor) {
 
 // Add returns a + b (same shapes).
 func Add(a, b *Tensor) *Tensor {
-	out := newOp(AddMat(a.Value, b.Value), a, b)
+	a.Value.assertSameShape(b.Value, "Add")
+	out := newOp(a.Rows(), a.Cols(), a, b)
+	for i, v := range a.Value.Data {
+		out.Value.Data[i] = v + b.Value.Data[i]
+	}
 	out.back = func() {
 		a.accumulate(out.grad)
 		b.accumulate(out.grad)
@@ -114,15 +171,18 @@ func Add(a, b *Tensor) *Tensor {
 
 // Sub returns a - b (same shapes).
 func Sub(a, b *Tensor) *Tensor {
-	out := newOp(SubMat(a.Value, b.Value), a, b)
+	a.Value.assertSameShape(b.Value, "Sub")
+	out := newOp(a.Rows(), a.Cols(), a, b)
+	for i, v := range a.Value.Data {
+		out.Value.Data[i] = v - b.Value.Data[i]
+	}
 	out.back = func() {
 		a.accumulate(out.grad)
 		if b.requires {
-			ws := defaultWorkspace
-			neg := ws.GetCopy(out.grad)
+			neg := out.arena.get(out.grad.Rows, out.grad.Cols)
+			copy(neg.Data, out.grad.Data)
 			neg.ScaleInPlace(-1)
-			b.accumulate(neg)
-			ws.Put(neg)
+			b.adopt(neg)
 		}
 	}
 	return out
@@ -130,20 +190,19 @@ func Sub(a, b *Tensor) *Tensor {
 
 // Mul returns the Hadamard (element-wise) product a ⊗ b.
 func Mul(a, b *Tensor) *Tensor {
-	out := newOp(HadamardMat(a.Value, b.Value), a, b)
+	a.Value.assertSameShape(b.Value, "Mul")
+	out := newOp(a.Rows(), a.Cols(), a, b)
+	hadamardInto(out.Value, a.Value, b.Value)
 	out.back = func() {
-		ws := defaultWorkspace
 		if a.requires {
-			g := ws.Get(out.grad.Rows, out.grad.Cols)
+			g := out.arena.get(out.grad.Rows, out.grad.Cols)
 			hadamardInto(g, out.grad, b.Value)
-			a.accumulate(g)
-			ws.Put(g)
+			a.adopt(g)
 		}
 		if b.requires {
-			g := ws.Get(out.grad.Rows, out.grad.Cols)
+			g := out.arena.get(out.grad.Rows, out.grad.Cols)
 			hadamardInto(g, out.grad, a.Value)
-			b.accumulate(g)
-			ws.Put(g)
+			b.adopt(g)
 		}
 	}
 	return out
@@ -158,26 +217,25 @@ func hadamardInto(dst, a, b *Matrix) {
 
 // MatMulT returns the matrix product a·b.
 func MatMulT(a, b *Tensor) *Tensor {
-	out := newOp(MatMul(a.Value, b.Value), a, b)
+	out := newOp(a.Rows(), b.Cols(), a, b)
+	MatMulInto(out.Value, a.Value, b.Value)
 	out.back = func() {
-		ws := defaultWorkspace
+		ar := out.arena
 		if a.requires {
-			bt := ws.Get(b.Value.Cols, b.Value.Rows)
+			bt := ar.get(b.Value.Cols, b.Value.Rows)
 			b.Value.TransposedInto(bt)
-			g := ws.Get(out.grad.Rows, bt.Cols)
+			g := ar.get(out.grad.Rows, bt.Cols)
 			MatMulInto(g, out.grad, bt)
-			ws.Put(bt)
-			a.accumulate(g)
-			ws.Put(g)
+			ar.put(bt)
+			a.adopt(g)
 		}
 		if b.requires {
-			at := ws.Get(a.Value.Cols, a.Value.Rows)
+			at := ar.get(a.Value.Cols, a.Value.Rows)
 			a.Value.TransposedInto(at)
-			g := ws.Get(at.Rows, out.grad.Cols)
+			g := ar.get(at.Rows, out.grad.Cols)
 			MatMulInto(g, at, out.grad)
-			ws.Put(at)
-			b.accumulate(g)
-			ws.Put(g)
+			ar.put(at)
+			b.adopt(g)
 		}
 	}
 	return out
@@ -185,26 +243,26 @@ func MatMulT(a, b *Tensor) *Tensor {
 
 // Scale returns s·a for a fixed scalar s.
 func Scale(a *Tensor, s float64) *Tensor {
-	v := a.Value.Clone()
-	v.ScaleInPlace(s)
-	out := newOp(v, a)
+	out := newOp(a.Rows(), a.Cols(), a)
+	for i, v := range a.Value.Data {
+		out.Value.Data[i] = v * s
+	}
 	out.back = func() {
-		ws := defaultWorkspace
-		g := ws.GetCopy(out.grad)
-		g.ScaleInPlace(s)
-		a.accumulate(g)
-		ws.Put(g)
+		g := out.arena.get(out.grad.Rows, out.grad.Cols)
+		for i, v := range out.grad.Data {
+			g.Data[i] = v * s
+		}
+		a.adopt(g)
 	}
 	return out
 }
 
 // AddScalar returns a + s applied element-wise for a fixed scalar s.
 func AddScalar(a *Tensor, s float64) *Tensor {
-	v := a.Value.Clone()
-	for i := range v.Data {
-		v.Data[i] += s
+	out := newOp(a.Rows(), a.Cols(), a)
+	for i, v := range a.Value.Data {
+		out.Value.Data[i] = v + s
 	}
-	out := newOp(v, a)
 	out.back = func() { a.accumulate(out.grad) }
 	return out
 }
@@ -216,25 +274,25 @@ func AddRowBroadcast(a, bias *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: AddRowBroadcast bias %dx%d for %dx%d",
 			bias.Value.Rows, bias.Value.Cols, a.Value.Rows, a.Value.Cols))
 	}
-	v := a.Value.Clone()
-	for i := 0; i < v.Rows; i++ {
-		for j := 0; j < v.Cols; j++ {
-			v.Data[i*v.Cols+j] += bias.Value.Data[j]
+	out := newOp(a.Rows(), a.Cols(), a, bias)
+	cols := a.Value.Cols
+	for i := 0; i < len(a.Value.Data); i += cols {
+		row := out.Value.Data[i : i+cols]
+		for j, v := range a.Value.Data[i : i+cols] {
+			row[j] = v + bias.Value.Data[j]
 		}
 	}
-	out := newOp(v, a, bias)
 	out.back = func() {
 		a.accumulate(out.grad)
 		if bias.requires {
-			ws := defaultWorkspace
-			bg := ws.GetZeroed(1, a.Value.Cols)
-			for i := 0; i < out.grad.Rows; i++ {
-				for j := 0; j < out.grad.Cols; j++ {
-					bg.Data[j] += out.grad.Data[i*out.grad.Cols+j]
+			bg := out.arena.get(1, cols)
+			bg.Zero()
+			for i := 0; i < len(out.grad.Data); i += cols {
+				for j, g := range out.grad.Data[i : i+cols] {
+					bg.Data[j] += g
 				}
 			}
-			bias.accumulate(bg)
-			ws.Put(bg)
+			bias.adopt(bg)
 		}
 	}
 	return out
@@ -242,23 +300,22 @@ func AddRowBroadcast(a, bias *Tensor) *Tensor {
 
 // ReLU returns max(0, a) element-wise (the δ activation in Eq. 1).
 func ReLU(a *Tensor) *Tensor {
-	v := a.Value.Clone()
-	for i, x := range v.Data {
+	out := newOp(a.Rows(), a.Cols(), a)
+	for i, x := range a.Value.Data {
 		if x < 0 {
-			v.Data[i] = 0
+			x = 0
 		}
+		out.Value.Data[i] = x
 	}
-	out := newOp(v, a)
 	out.back = func() {
-		ws := defaultWorkspace
-		g := ws.GetCopy(out.grad)
+		g := out.arena.get(out.grad.Rows, out.grad.Cols)
+		copy(g.Data, out.grad.Data)
 		for i, x := range a.Value.Data {
 			if x <= 0 {
 				g.Data[i] = 0
 			}
 		}
-		a.accumulate(g)
-		ws.Put(g)
+		a.adopt(g)
 	}
 	return out
 }
@@ -266,19 +323,16 @@ func ReLU(a *Tensor) *Tensor {
 // Sigmoid returns 1/(1+e^-a) element-wise; it produces the probability
 // recommendations r̃_t and the preservation vector σ.
 func Sigmoid(a *Tensor) *Tensor {
-	v := a.Value.Clone()
-	for i, x := range v.Data {
-		v.Data[i] = 1 / (1 + math.Exp(-x))
+	out := newOp(a.Rows(), a.Cols(), a)
+	for i, x := range a.Value.Data {
+		out.Value.Data[i] = 1 / (1 + math.Exp(-x))
 	}
-	out := newOp(v, a)
 	out.back = func() {
-		ws := defaultWorkspace
-		g := ws.GetCopy(out.grad)
+		g := out.arena.get(out.grad.Rows, out.grad.Cols)
 		for i, s := range out.Value.Data {
-			g.Data[i] *= s * (1 - s)
+			g.Data[i] = out.grad.Data[i] * (s * (1 - s))
 		}
-		a.accumulate(g)
-		ws.Put(g)
+		a.adopt(g)
 	}
 	return out
 }
@@ -286,19 +340,16 @@ func Sigmoid(a *Tensor) *Tensor {
 // Tanh returns tanh(a) element-wise (used by the GRU cells of the recurrent
 // baselines).
 func Tanh(a *Tensor) *Tensor {
-	v := a.Value.Clone()
-	for i, x := range v.Data {
-		v.Data[i] = math.Tanh(x)
+	out := newOp(a.Rows(), a.Cols(), a)
+	for i, x := range a.Value.Data {
+		out.Value.Data[i] = math.Tanh(x)
 	}
-	out := newOp(v, a)
 	out.back = func() {
-		ws := defaultWorkspace
-		g := ws.GetCopy(out.grad)
+		g := out.arena.get(out.grad.Rows, out.grad.Cols)
 		for i, th := range out.Value.Data {
-			g.Data[i] *= 1 - th*th
+			g.Data[i] = out.grad.Data[i] * (1 - th*th)
 		}
-		a.accumulate(g)
-		ws.Put(g)
+		a.adopt(g)
 	}
 	return out
 }
@@ -307,42 +358,30 @@ func Tanh(a *Tensor) *Tensor {
 // at 1e-12 so losses like -log σ(x) stay finite.
 func Log(a *Tensor) *Tensor {
 	const floor = 1e-12
-	v := a.Value.Clone()
-	for i, x := range v.Data {
-		if x < floor {
-			x = floor
-		}
-		v.Data[i] = math.Log(x)
+	out := newOp(a.Rows(), a.Cols(), a)
+	for i, x := range a.Value.Data {
+		out.Value.Data[i] = math.Log(max(x, floor))
 	}
-	out := newOp(v, a)
 	out.back = func() {
-		ws := defaultWorkspace
-		g := ws.GetCopy(out.grad)
+		g := out.arena.get(out.grad.Rows, out.grad.Cols)
 		for i, x := range a.Value.Data {
-			if x < floor {
-				x = floor
-			}
-			g.Data[i] /= x
+			g.Data[i] = out.grad.Data[i] / max(x, floor)
 		}
-		a.accumulate(g)
-		ws.Put(g)
+		a.adopt(g)
 	}
 	return out
 }
 
 // Sum reduces a to a 1×1 scalar: the terminal op of every loss.
 func Sum(a *Tensor) *Tensor {
-	v := NewMatrix(1, 1)
-	v.Data[0] = a.Value.Sum()
-	out := newOp(v, a)
+	out := newOp(1, 1, a)
+	out.Value.Data[0] = a.Value.Sum()
 	out.back = func() {
-		ws := defaultWorkspace
-		g := ws.Get(a.Value.Rows, a.Value.Cols)
+		g := out.arena.get(a.Value.Rows, a.Value.Cols)
 		for i := range g.Data {
 			g.Data[i] = out.grad.Data[0]
 		}
-		a.accumulate(g)
-		ws.Put(g)
+		a.adopt(g)
 	}
 	return out
 }
@@ -355,34 +394,40 @@ func Mean(a *Tensor) *Tensor {
 // Concat concatenates tensors column-wise: [a ‖ b ‖ …], all with equal row
 // counts. It is how MIA assembles [x̂_t ‖ Δ_t ‖ h_{t-1} ‖ r_{t-1}] for LWP.
 func Concat(ts ...*Tensor) *Tensor {
-	ms := make([]*Matrix, len(ts))
-	for i, t := range ts {
-		ms[i] = t.Value
+	rows, cols := ts[0].Rows(), 0
+	for _, t := range ts {
+		if t.Rows() != rows {
+			panic(fmt.Sprintf("tensor: Concat row mismatch %d vs %d", t.Rows(), rows))
+		}
+		cols += t.Cols()
 	}
-	out := newOp(ConcatCols(ms...), ts...)
+	out := newOp(rows, cols, ts...)
+	off := 0
+	for _, t := range ts {
+		c := t.Cols()
+		for i := 0; i < rows; i++ {
+			copy(out.Value.Data[i*cols+off:i*cols+off+c], t.Value.Data[i*c:(i+1)*c])
+		}
+		off += c
+	}
 	out.back = func() {
-		ws := defaultWorkspace
 		off := 0
-		cols := out.Value.Cols
 		for _, t := range ts {
-			if !t.requires {
-				off += t.Value.Cols
-				continue
+			c := t.Cols()
+			if t.requires {
+				g := out.arena.get(rows, c)
+				for i := 0; i < rows; i++ {
+					copy(g.Data[i*c:(i+1)*c], out.grad.Data[i*cols+off:i*cols+off+c])
+				}
+				t.adopt(g)
 			}
-			g := ws.Get(t.Value.Rows, t.Value.Cols)
-			for i := 0; i < t.Value.Rows; i++ {
-				copy(g.Data[i*t.Value.Cols:(i+1)*t.Value.Cols],
-					out.grad.Data[i*cols+off:i*cols+off+t.Value.Cols])
-			}
-			t.accumulate(g)
-			ws.Put(g)
-			off += t.Value.Cols
+			off += c
 		}
 	}
 	return out
 }
 
-// Detach returns a constant tensor sharing a's current value but cutting the
-// gradient flow. POSHGNN uses it for truncated BPTT on r_{t-1} and h_{t-1}
-// when configured.
+// Detach returns a constant tensor holding a heap copy of a's current
+// value, cutting the gradient flow; the copy outlives the arena reset of a's
+// graph, which is how truncated BPTT carries r_{t-1} and h_{t-1} over.
 func Detach(a *Tensor) *Tensor { return Constant(a.Value.Clone()) }

@@ -45,7 +45,7 @@ func TestGradMatMulSum(t *testing.T) {
 	ta, tb := Variable(a), Variable(b)
 	loss := Sum(MatMulT(ta, tb))
 	Backward(loss)
-	f := func() float64 { return MatMul(a, b).Sum() }
+	f := func() float64 { return matMul(a, b).Sum() }
 	checkGrad(t, "matmul/a", ta.Grad(), numericalGrad(a, f))
 	checkGrad(t, "matmul/b", tb.Grad(), numericalGrad(b, f))
 }

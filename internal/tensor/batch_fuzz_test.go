@@ -60,7 +60,7 @@ func FuzzBatchKernels(f *testing.F) {
 		rn := rect.RowNormalized()
 		in.sparse = []*CSR{rect, rn, rn.T()}
 		in.rhs = []*Matrix{in.x, in.x, randomDense(rng, rect.Rows, k*d)}
-		in.xt, in.g = in.x.Transposed(), randomDense(rng, n, dout)
+		in.xt, in.g = transposed(in.x), randomDense(rng, n, dout)
 
 		// The references, per column block where the kernel is batched.
 		type ref struct {

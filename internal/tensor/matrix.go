@@ -4,6 +4,8 @@
 // dense-product kernels (batch.go) that both training and inference run.
 // SpMMInto and MatMulInto are the float64 kernel set F64's one-graph and
 // one-block faces, so there is one float64 implementation of each product.
+// A training run's tape draws its matrices from an Arena and the fused
+// inference pass its scratch from a Pool (workspace.go).
 //
 // The networks in the paper are tiny (hidden dimension 8, two to three
 // layers, at most a few hundred nodes per room), so CPU matrices reproduce
@@ -50,15 +52,6 @@ func Ones(rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
 	for i := range m.Data {
 		m.Data[i] = 1
-	}
-	return m
-}
-
-// Eye returns the n×n identity matrix.
-func Eye(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
 	}
 	return m
 }
@@ -127,24 +120,10 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// MatMul returns m·n. Dimensions must agree (m.Cols == n.Rows).
-func MatMul(m, n *Matrix) *Matrix {
-	out := NewMatrix(m.Rows, n.Cols)
-	MatMulInto(out, m, n)
-	return out
-}
-
 // MatMulInto computes m·n into dst (m.Rows×n.Cols, fully overwritten): the
 // one-block face of F64.MatMulBlocksInto, for scratch-buffer callers.
 func MatMulInto(dst, m, n *Matrix) {
 	F64.MatMulBlocksInto((*Dense[float64])(dst), (*Dense[float64])(m), (*Dense[float64])(n), 1)
-}
-
-// Transposed returns a new matrix that is the transpose of m.
-func (m *Matrix) Transposed() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	m.TransposedInto(t)
-	return t
 }
 
 // TransposedInto writes the transpose of m into dst (m.Cols×m.Rows).
@@ -159,34 +138,6 @@ func (m *Matrix) TransposedInto(dst *Matrix) {
 	}
 }
 
-// AddMat returns m + n as a new matrix.
-func AddMat(m, n *Matrix) *Matrix {
-	m.assertSameShape(n, "AddMat")
-	out := m.Clone()
-	out.AddInPlace(n)
-	return out
-}
-
-// SubMat returns m - n as a new matrix.
-func SubMat(m, n *Matrix) *Matrix {
-	m.assertSameShape(n, "SubMat")
-	out := m.Clone()
-	for i, v := range n.Data {
-		out.Data[i] -= v
-	}
-	return out
-}
-
-// HadamardMat returns the element-wise product m ⊗ n as a new matrix.
-func HadamardMat(m, n *Matrix) *Matrix {
-	m.assertSameShape(n, "HadamardMat")
-	out := m.Clone()
-	for i, v := range n.Data {
-		out.Data[i] *= v
-	}
-	return out
-}
-
 // Sum returns the sum of all elements.
 func (m *Matrix) Sum() float64 {
 	s := 0.0
@@ -196,8 +147,7 @@ func (m *Matrix) Sum() float64 {
 	return s
 }
 
-// MaxAbs returns the largest absolute element value, used for gradient
-// clipping and NaN guards.
+// MaxAbs returns the largest absolute element value.
 func (m *Matrix) MaxAbs() float64 {
 	mx := 0.0
 	for _, v := range m.Data {
@@ -232,49 +182,4 @@ func (m *Matrix) Row(i int) []float64 {
 	out := make([]float64, m.Cols)
 	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
 	return out
-}
-
-// ConcatCols returns [a ‖ b ‖ …]: matrices stacked side by side. All inputs
-// must share the same row count.
-func ConcatCols(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		panic("tensor: ConcatCols needs at least one matrix")
-	}
-	rows := ms[0].Rows
-	cols := 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic(fmt.Sprintf("tensor: ConcatCols row mismatch %d vs %d", m.Rows, rows))
-		}
-		cols += m.Cols
-	}
-	out := NewMatrix(rows, cols)
-	off := 0
-	for _, m := range ms {
-		for i := 0; i < rows; i++ {
-			copy(out.Data[i*cols+off:i*cols+off+m.Cols], m.Data[i*m.Cols:(i+1)*m.Cols])
-		}
-		off += m.Cols
-	}
-	return out
-}
-
-// String renders small matrices for debugging.
-func (m *Matrix) String() string {
-	if m.Rows*m.Cols > 64 {
-		return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
-	}
-	s := fmt.Sprintf("Matrix(%dx%d)[", m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		if i > 0 {
-			s += "; "
-		}
-		for j := 0; j < m.Cols; j++ {
-			if j > 0 {
-				s += " "
-			}
-			s += fmt.Sprintf("%.4g", m.At(i, j))
-		}
-	}
-	return s + "]"
 }

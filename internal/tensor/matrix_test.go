@@ -7,10 +7,27 @@ import (
 	"testing/quick"
 )
 
+// matMul returns m·n through MatMulInto.
+func matMul(m, n *Matrix) *Matrix {
+	dst := NewMatrix(m.Rows, n.Cols)
+	MatMulInto(dst, m, n)
+	return dst
+}
+
+// transposed returns mᵀ through TransposedInto.
+func transposed(m *Matrix) *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	m.TransposedInto(t)
+	return t
+}
+
+// add returns m + n through the Add op.
+func add(m, n *Matrix) *Matrix { return Add(Constant(m), Constant(n)).Value }
+
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	c := matMul(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {
 		if c.Data[i] != w {
@@ -22,7 +39,11 @@ func TestMatMulKnown(t *testing.T) {
 func TestMatMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := Randn(rng, 5, 5, 1)
-	c := MatMul(a, Eye(5))
+	eye := NewMatrix(5, 5)
+	for i := 0; i < 5; i++ {
+		eye.Set(i, i, 1)
+	}
+	c := matMul(a, eye)
 	for i := range a.Data {
 		if math.Abs(c.Data[i]-a.Data[i]) > 1e-12 {
 			t.Fatalf("A·I != A at %d", i)
@@ -36,13 +57,13 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Error("expected panic on shape mismatch")
 		}
 	}()
-	MatMul(NewMatrix(2, 3), NewMatrix(2, 3))
+	matMul(NewMatrix(2, 3), NewMatrix(2, 3))
 }
 
 func TestTransposedInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := Randn(rng, 4, 7, 1)
-	b := a.Transposed().Transposed()
+	b := transposed(transposed(a))
 	if !a.SameShape(b) {
 		t.Fatal("shape changed")
 	}
@@ -58,8 +79,8 @@ func TestTransposeMatMulIdentityLaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := Randn(rng, 3, 4, 1)
 	b := Randn(rng, 4, 5, 1)
-	lhs := MatMul(a, b).Transposed()
-	rhs := MatMul(b.Transposed(), a.Transposed())
+	lhs := transposed(matMul(a, b))
+	rhs := matMul(transposed(b), transposed(a))
 	for i := range lhs.Data {
 		if math.Abs(lhs.Data[i]-rhs.Data[i]) > 1e-12 {
 			t.Fatal("(AB)ᵀ != BᵀAᵀ")
@@ -70,14 +91,15 @@ func TestTransposeMatMulIdentityLaw(t *testing.T) {
 func TestAddSubHadamard(t *testing.T) {
 	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	b := FromSlice(2, 2, []float64{5, 6, 7, 8})
-	if got := AddMat(a, b).Data; got[0] != 6 || got[3] != 12 {
-		t.Errorf("AddMat = %v", got)
+	ta, tb := Constant(a), Constant(b)
+	if got := Add(ta, tb).Value.Data; got[0] != 6 || got[3] != 12 {
+		t.Errorf("Add = %v", got)
 	}
-	if got := SubMat(b, a).Data; got[0] != 4 || got[3] != 4 {
-		t.Errorf("SubMat = %v", got)
+	if got := Sub(tb, ta).Value.Data; got[0] != 4 || got[3] != 4 {
+		t.Errorf("Sub = %v", got)
 	}
-	if got := HadamardMat(a, b).Data; got[0] != 5 || got[3] != 32 {
-		t.Errorf("HadamardMat = %v", got)
+	if got := Mul(ta, tb).Value.Data; got[0] != 5 || got[3] != 32 {
+		t.Errorf("Mul = %v", got)
 	}
 	// Inputs unchanged.
 	if a.Data[0] != 1 || b.Data[0] != 5 {
@@ -88,7 +110,7 @@ func TestAddSubHadamard(t *testing.T) {
 func TestConcatCols(t *testing.T) {
 	a := FromSlice(2, 1, []float64{1, 2})
 	b := FromSlice(2, 2, []float64{3, 4, 5, 6})
-	c := ConcatCols(a, b)
+	c := Concat(Constant(a), Constant(b)).Value
 	if c.Rows != 2 || c.Cols != 3 {
 		t.Fatalf("shape %dx%d", c.Rows, c.Cols)
 	}
@@ -167,8 +189,8 @@ func TestAddCommutative(t *testing.T) {
 	f := func(xs [6]float64, ys [6]float64) bool {
 		a := FromSlice(2, 3, xs[:])
 		b := FromSlice(2, 3, ys[:])
-		l := AddMat(a, b)
-		r := AddMat(b, a)
+		l := add(a, b)
+		r := add(b, a)
 		for i := range l.Data {
 			if l.Data[i] != r.Data[i] && !(math.IsNaN(l.Data[i]) && math.IsNaN(r.Data[i])) {
 				return false
@@ -181,15 +203,15 @@ func TestAddCommutative(t *testing.T) {
 	}
 }
 
-// Property: MatMul distributes over addition: A(B+C) = AB + AC.
+// Property: the product distributes over addition: A(B+C) = AB + AC.
 func TestMatMulDistributes(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 50; trial++ {
 		a := Randn(rng, 3, 4, 1)
 		b := Randn(rng, 4, 2, 1)
 		c := Randn(rng, 4, 2, 1)
-		lhs := MatMul(a, AddMat(b, c))
-		rhs := AddMat(MatMul(a, b), MatMul(a, c))
+		lhs := matMul(a, add(b, c))
+		rhs := add(matMul(a, b), matMul(a, c))
 		for i := range lhs.Data {
 			if math.Abs(lhs.Data[i]-rhs.Data[i]) > 1e-10 {
 				t.Fatalf("distribution law violated at trial %d", trial)

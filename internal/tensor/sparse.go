@@ -200,16 +200,12 @@ func SpMMInto(dst *Matrix, a *CSR, x *Matrix) {
 // is a itself for the symmetric occlusion adjacency, so no transpose is ever
 // materialized on the training path.
 func SpMMT(a *CSR, x *Tensor) *Tensor {
-	out := newOp(SpMM(a, x.Value), x)
+	out := newOp(a.Rows, x.Cols(), x)
+	SpMMInto(out.Value, a, x.Value)
 	out.back = func() {
-		if !x.requires {
-			return
-		}
-		ws := defaultWorkspace
-		g := ws.Get(a.Cols, out.grad.Cols)
+		g := out.arena.get(a.Cols, out.grad.Cols)
 		SpMMInto(g, a.T(), out.grad)
-		x.accumulate(g)
-		ws.Put(g)
+		x.adopt(g)
 	}
 	return out
 }
@@ -217,35 +213,39 @@ func SpMMT(a *CSR, x *Tensor) *Tensor {
 // QuadraticFormCSR returns the scalar rᵀ·A·r for a column vector tensor r
 // and a constant sparse A — the occlusion penalty of the POSHGNN loss,
 // evaluated per-edge in O(E). The gradient is (A+Aᵀ)·r, which collapses to
-// 2·A·r for the symmetric adjacency.
+// 2·A·r for the symmetric adjacency. The backward pass recomputes A·r, so
+// the node holds no buffer but its value and gradient.
 func QuadraticFormCSR(r *Tensor, a *CSR) *Tensor {
 	if r.Value.Cols != 1 || a.Rows != a.Cols || a.Rows != r.Value.Rows {
 		panic(fmt.Sprintf("tensor: QuadraticFormCSR r %dx%d, A %dx%d",
 			r.Value.Rows, r.Value.Cols, a.Rows, a.Cols))
 	}
-	ar := SpMM(a, r.Value) // |V|×1, captured by the backward closure
-	v := NewMatrix(1, 1)
+	out := newOp(1, 1, r)
+	ar := out.arena.get(a.Rows, 1)
+	SpMMInto(ar, a, r.Value)
+	v := 0.0
 	for i, ri := range r.Value.Data {
-		v.Data[0] += ri * ar.Data[i]
+		v += ri * ar.Data[i]
 	}
-	out := newOp(v, r)
+	out.Value.Data[0] = v
+	out.arena.put(ar)
 	out.back = func() {
-		ws := defaultWorkspace
-		g := ws.Get(r.Value.Rows, 1)
+		ar, g := out.arena.get(a.Rows, 1), out.arena.get(a.Rows, 1)
+		SpMMInto(ar, a, r.Value)
 		if a.Symmetric {
 			for i := range g.Data {
 				g.Data[i] = 2 * ar.Data[i] * out.grad.Data[0]
 			}
 		} else {
-			atr := ws.Get(a.Cols, 1)
+			atr := out.arena.get(a.Cols, 1)
 			SpMMInto(atr, a.T(), r.Value)
 			for i := range g.Data {
 				g.Data[i] = (ar.Data[i] + atr.Data[i]) * out.grad.Data[0]
 			}
-			ws.Put(atr)
+			out.arena.put(atr)
 		}
-		r.accumulate(g)
-		ws.Put(g)
+		out.arena.put(ar)
+		r.adopt(g)
 	}
 	return out
 }

@@ -112,7 +112,7 @@ func TestCSRTranspose(t *testing.T) {
 		}
 	}
 	csr := CSRFromDense(dense)
-	if d := maxAbsDiff(csr.T().Dense(), dense.Transposed()); d != 0 {
+	if d := maxAbsDiff(csr.T().Dense(), transposed(dense)); d != 0 {
 		t.Fatalf("transpose differs by %g", d)
 	}
 	if csr.T() != csr.T() {
@@ -187,7 +187,7 @@ func TestGradSpMM(t *testing.T) {
 	ax := SpMMT(sym, tx)
 	Backward(Sum(Mul(ax, ax)))
 	f := func() float64 {
-		m := MatMul(denseSym, x)
+		m := matMul(denseSym, x)
 		s := 0.0
 		for _, v := range m.Data {
 			s += v * v
@@ -208,7 +208,7 @@ func TestGradSpMM(t *testing.T) {
 	ay := SpMMT(w, ty)
 	Backward(Sum(Mul(ay, ay)))
 	g := func() float64 {
-		m := MatMul(denseW, y)
+		m := matMul(denseW, y)
 		s := 0.0
 		for _, v := range m.Data {
 			s += v * v
