@@ -149,8 +149,9 @@ func (b *GraFrank) train(room *dataset.Room) *tensor.Matrix {
 		return l2.ForwardSparse(h, adj)
 	}
 	const batch = 16
-	for it := 0; it < iters; it++ {
-		params.ZeroGrad()
+	// Each iteration is a one-step BPTT window with no state to carry, so it
+	// trains out of the optimizer's arena; a NaN loss stops training early.
+	_, _, _, _ = nn.TrainBPTT(opt, iters, 1, func(int) *tensor.Tensor {
 		emb := encode()
 		// BPR over a minibatch: maximize σ(s(u,pos) − s(u,neg)) via the
 		// logistic loss; scores are embedding dot products extracted with
@@ -189,11 +190,10 @@ func (b *GraFrank) train(room *dataset.Room) *tensor.Matrix {
 			}
 		}
 		if loss == nil {
-			continue // every sample lacked a negative this round
+			return nil // every sample lacked a negative this round
 		}
-		tensor.Backward(tensor.Scale(loss, 1.0/batch))
-		opt.Step()
-	}
+		return tensor.Scale(loss, 1.0/batch)
+	}, func() {})
 	return encode().Value.Clone()
 }
 
