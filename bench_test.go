@@ -208,7 +208,7 @@ func BenchmarkSpMMWide(b *testing.B) {
 // BenchmarkBatchedStep measures one fused StepTargets frame — a full serve
 // coalesce of 16 targets sharing one per-room forward pass — at the paper's
 // room size, on the float64 oracle path and the float32 fast path. Allocs are
-// reported because the pooled scratch (tensor.Workspace) is what keeps the
+// reported because the pooled scratch (tensor.Pool) is what keeps the
 // steady state flat; the hard bound lives in core's TestBatchStepAllocs.
 func BenchmarkBatchedStep(b *testing.B) {
 	room, err := paperRoom()
@@ -258,6 +258,24 @@ func BenchmarkCOMURNetStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess.Step(i, dog.At(i%dog.T()))
+	}
+}
+
+// BenchmarkNearestEpisode measures one Nearest episode, 101 steps of
+// picking the 10 users nearest one target on the paper-scale Timik room
+// (N=200, T=100), as paper's evaluation steps it.
+func BenchmarkNearestEpisode(b *testing.B) {
+	room, err := paperTrainRoom()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dog := after.BuildDOG(0, room.Traj, room.AvatarRadius)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sess := after.NewNearestBaseline(0).StartEpisode(room, 0)
+		for t := 0; t <= dog.T(); t++ {
+			sess.Step(t, dog.At(t))
+		}
 	}
 }
 
