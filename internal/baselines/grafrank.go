@@ -174,9 +174,7 @@ func (b *GraFrank) train(room *dataset.Room) *tensor.Matrix {
 			}
 			su := rowSelector(n, e.u)
 			diffSel := rowSelector(n, e.v)
-			for i := range diffSel.Data {
-				diffSel.Data[i] -= rowSelector(n, neg).Data[i]
-			}
+			diffSel.Data[neg]--
 			// score diff = (e_u · emb)ᵀ · ((e_pos − e_neg) · emb)
 			uEmb := tensor.MatMulT(tensor.Constant(su), emb)      // 1×dim
 			dEmb := tensor.MatMulT(tensor.Constant(diffSel), emb) // 1×dim

@@ -108,10 +108,10 @@ func validationUtility(rec sim.Recommender, room *dataset.Room) (float64, error)
 }
 
 // POSHGNNRec adapts a trained POSHGNN to the sim harness. The returned
-// recommender is batch-capable: sim.Evaluate and the serve micro-batcher
-// fuse all targets of a room into one shared forward pass per frame through
-// core.BatchSession, and a per-target episode is a width-1 view of one, so
-// table artifacts do not depend on the route taken.
+// recommender is batch-capable: sim.Evaluate fuses each worker's block of a
+// room's targets, and the serve micro-batcher each batch, into one shared
+// forward pass per frame through core.BatchSession, and a per-target episode
+// is a width-1 view of one, so table artifacts do not depend on the route.
 func POSHGNNRec(m *core.POSHGNN, name string) sim.Recommender {
 	return poshgnnRec{m: m, name: name}
 }

@@ -30,10 +30,11 @@ type TraceCarrier interface {
 // BatchRecommender is a Recommender whose model can serve a whole room at
 // once: StartBatch returns one shared session that amortizes the per-room
 // portion of the forward pass (aggregation, message passing) across every
-// target in the batch. StepTargets for a single target must be
-// output-identical to the Stepper from StartEpisode — the harness, the serve
-// path, and the property tests all rely on batch width being invisible in
-// the output.
+// target in the batch. Evaluate starts one session per worker, each over a
+// contiguous block of the targets, so one recommender's sessions step
+// concurrently. StepTargets for a single target must be output-identical to
+// the Stepper from StartEpisode — the harness, the serve path, and the
+// property tests all rely on batch width being invisible in the output.
 type BatchRecommender interface {
 	Recommender
 	StartBatch(room *dataset.Room) BatchStepper

@@ -1,18 +1,30 @@
 package sim
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"after/internal/dataset"
+	"after/internal/metrics"
 	"after/internal/occlusion"
+	"after/internal/parallel"
 )
 
 // patternRec renders a deterministic function of (target, t, w) so the fused
-// and per-episode routes are comparable bit-for-bit. It counts StepTargets
-// invocations and records batch widths.
-type patternRec struct {
-	calls  *int
-	widths *[]int
+// and per-episode routes are comparable bit-for-bit. A non-nil log records
+// every StepTargets call of every session it starts.
+type patternRec struct{ log *callLog }
+
+// callLog records fused calls from sessions that may step concurrently.
+type callLog struct {
+	mu    sync.Mutex
+	calls []fusedCall
+}
+
+type fusedCall struct {
+	t       int
+	targets []int
 }
 
 func patternOut(n, target, t int) []bool {
@@ -36,21 +48,19 @@ func (s patternStepper) Step(t int, frame *occlusion.StaticGraph) []bool {
 }
 
 func (r patternRec) StartBatch(rm *dataset.Room) BatchStepper {
-	return patternBatch{n: rm.N, calls: r.calls, widths: r.widths}
+	return patternBatch{n: rm.N, log: r.log}
 }
 
 type patternBatch struct {
-	n      int
-	calls  *int
-	widths *[]int
+	n   int
+	log *callLog
 }
 
 func (b patternBatch) StepTargets(t int, targets []int, frames []*occlusion.StaticGraph) [][]bool {
-	if b.calls != nil {
-		*b.calls++
-	}
-	if b.widths != nil {
-		*b.widths = append(*b.widths, len(targets))
+	if b.log != nil {
+		b.log.mu.Lock()
+		b.log.calls = append(b.log.calls, fusedCall{t, append([]int(nil), targets...)})
+		b.log.mu.Unlock()
 	}
 	out := make([][]bool, len(targets))
 	for i, target := range targets {
@@ -59,37 +69,65 @@ func (b patternBatch) StepTargets(t int, targets []int, frames []*occlusion.Stat
 	return out
 }
 
-// TestEvaluateRoutesBatchRecommender: a BatchRecommender goes through one
-// fused StepTargets per frame covering every target, and its scores match
-// the per-episode route exactly (same deterministic outputs either way).
+// TestEvaluateRoutesBatchRecommender: a BatchRecommender goes through
+// min(workers, targets) fused sessions, each stepping one contiguous block
+// of the targets once per frame, so that per frame the blocks cover every
+// target exactly once; with one worker that is one full-width call per
+// frame, in frame order. Its scores match the per-episode route exactly
+// (same deterministic outputs either way).
 func TestEvaluateRoutesBatchRecommender(t *testing.T) {
 	rm := room(t, 7, 5)
 	targets := []int{0, 6, 12, 18}
-	calls, widths := 0, []int{}
-	rec := patternRec{calls: &calls, widths: &widths}
-
-	got, err := Evaluate([]Recommender{rec, fixedRec("other", 1)}, rm, targets, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	steps := rm.T() + 1
-	if calls != steps {
-		t.Fatalf("fused StepTargets called %d times, want %d (one per frame)", calls, steps)
-	}
-	for _, w := range widths {
-		if w != len(targets) {
-			t.Fatalf("fused batch width %d, want %d", w, len(targets))
-		}
-	}
 	// Erase the batch capability: Func only forwards StartEpisode.
-	seq := Func{RecName: "pattern", Start: rec.StartEpisode}
+	seq := Func{RecName: "pattern", Start: patternRec{}.StartEpisode}
 	want, err := Evaluate([]Recommender{seq}, rm, targets, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, w := got["pattern"], want["pattern"]
-	if g.Utility != w.Utility || g.Preference != w.Preference || g.Social != w.Social {
-		t.Fatalf("batched route scored %+v, sequential route %+v", g, w)
+	for _, limit := range []int{1, 2, len(targets) + 1} {
+		log := &callLog{}
+		var got map[string]metrics.Result
+		parallel.WithLimit(limit, func() {
+			got, err = Evaluate([]Recommender{patternRec{log: log}, fixedRec("other", 1)}, rm, targets, 0.5)
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", limit, err)
+		}
+		blocks := min(limit, len(targets))
+		if len(log.calls) != blocks*steps {
+			t.Fatalf("workers=%d: %d fused calls, want %d blocks × %d frames", limit, len(log.calls), blocks, steps)
+		}
+		byFrame := make([][]fusedCall, steps)
+		for k, c := range log.calls {
+			if limit == 1 && c.t != k {
+				t.Fatalf("workers=1: call %d stepped frame %d, want frames in order", k, c.t)
+			}
+			byFrame[c.t] = append(byFrame[c.t], c)
+		}
+		for f, calls := range byFrame {
+			if len(calls) != blocks {
+				t.Fatalf("workers=%d frame %d: %d fused calls, want %d", limit, f, len(calls), blocks)
+			}
+			// Each call must be targets[lo:hi] for some lo; sorted by lo the
+			// blocks must tile targets end to end.
+			slices.SortFunc(calls, func(a, b fusedCall) int { return a.targets[0] - b.targets[0] })
+			next := 0
+			for _, c := range calls {
+				if next+len(c.targets) > len(targets) || !slices.Equal(c.targets, targets[next:next+len(c.targets)]) {
+					t.Fatalf("workers=%d frame %d: blocks %v do not tile targets %v", limit, f, calls, targets)
+				}
+				next += len(c.targets)
+			}
+			if next != len(targets) {
+				t.Fatalf("workers=%d frame %d: blocks %v cover %d of %d targets", limit, f, calls, next, len(targets))
+			}
+		}
+		g, w := got["pattern"], want["pattern"]
+		g.StepTime, w.StepTime = 0, 0
+		if g != w {
+			t.Fatalf("workers=%d: batched route scored %+v, sequential route %+v", limit, g, w)
+		}
 	}
 }
 

@@ -7,7 +7,10 @@ package sim_test
 // that contract across every built-in recommender family — utilities,
 // occlusion rates, and the raw rendering traces must match exactly between a
 // single-worker and a many-worker run. StepTime is excluded: it measures
-// wall-clock and legitimately differs between runs.
+// wall-clock and legitimately differs between runs. POSHGNN runs both
+// through sim.Func, which erases batching, and as the batch-capable
+// exp.POSHGNNRec, whose targets Evaluate splits into one fused block per
+// worker.
 
 import (
 	"testing"
@@ -15,6 +18,7 @@ import (
 	"after/internal/baselines"
 	"after/internal/core"
 	"after/internal/dataset"
+	"after/internal/exp"
 	"after/internal/metrics"
 	"after/internal/occlusion"
 	"after/internal/parallel"
@@ -33,11 +37,14 @@ func determinismRoom(t testing.TB) *dataset.Room {
 }
 
 func determinismRecs() []sim.Recommender {
-	posh := core.New(core.Config{UseMIA: true, UseLWP: true, Seed: 3})
+	// Untrained, every probability sits below the default 0.5 threshold and
+	// POSHGNN renders no one; at 1e-3 its decode order picks 7–10 users.
+	posh := core.New(core.Config{UseMIA: true, UseLWP: true, Seed: 3, Threshold: 1e-3})
 	return []sim.Recommender{
 		sim.Func{RecName: "POSHGNN", Start: func(r *dataset.Room, tgt int) sim.Stepper {
 			return posh.StartEpisode(r, tgt)
 		}},
+		exp.POSHGNNRec(posh, "POSHGNN-fused"),
 		baselines.Random{Seed: 11},
 		baselines.Nearest{},
 		baselines.MvAGC{Seed: 12},
@@ -54,7 +61,8 @@ func stripTiming(r metrics.Result) metrics.Result {
 }
 
 // TestEvaluateDeterminism asserts that Evaluate returns the exact same
-// metrics with one worker and with eight.
+// metrics at every worker count, fused block split included, and that the
+// fused POSHGNN scores what the per-episode one does.
 func TestEvaluateDeterminism(t *testing.T) {
 	room := determinismRoom(t)
 	targets := sim.DefaultTargets(room, 3)
@@ -71,17 +79,22 @@ func TestEvaluateDeterminism(t *testing.T) {
 		return out
 	}
 	seq := run(1)
-	par := run(8)
-	if len(seq) != len(par) {
-		t.Fatalf("result count differs: %d vs %d", len(seq), len(par))
+	if f, s := stripTiming(seq["POSHGNN-fused"]), stripTiming(seq["POSHGNN"]); f != s {
+		t.Errorf("fused POSHGNN %+v != per-episode POSHGNN %+v", f, s)
 	}
-	for name, s := range seq {
-		p, ok := par[name]
-		if !ok {
-			t.Fatalf("parallel run lost recommender %q", name)
+	for _, workers := range []int{2, 3, 8} {
+		par := run(workers)
+		if len(seq) != len(par) {
+			t.Fatalf("workers=%d: result count differs: %d vs %d", workers, len(seq), len(par))
 		}
-		if stripTiming(s) != stripTiming(p) {
-			t.Errorf("%s: sequential %+v != parallel %+v", name, stripTiming(s), stripTiming(p))
+		for name, s := range seq {
+			p, ok := par[name]
+			if !ok {
+				t.Fatalf("workers=%d: lost recommender %q", workers, name)
+			}
+			if stripTiming(s) != stripTiming(p) {
+				t.Errorf("%s: workers=1 %+v != workers=%d %+v", name, stripTiming(s), workers, stripTiming(p))
+			}
 		}
 	}
 }

@@ -192,22 +192,23 @@ func runEpisodes(rec string, room *dataset.Room, dogs []*occlusion.DOG, targets 
 // are rejected. The DOG for each target is built once and shared across
 // recommenders so everyone sees the identical scene.
 //
-// Episodes fan out over the parallel worker pool: every (recommender,
-// target) pair is an independent unit of work writing into its own result
-// slot, and the per-recommender means are folded sequentially afterwards in
-// input order. Recommenders therefore must hand out independent Steppers
-// from concurrent StartEpisode calls and must not derive episode randomness
-// from shared mutable RNG state — every built-in recommender seeds its
-// episode RNG from (base seed, target), which keeps results bit-identical
-// to a sequential run regardless of scheduling (see TestEvaluateDeterminism).
-// Only StepTime varies between runs; it measures wall-clock.
+// Episodes run as one work list over the parallel worker pool: every unit
+// writes into its own result slots, and the per-recommender means are folded
+// sequentially afterwards in input order. Recommenders therefore must hand
+// out independent Steppers from concurrent StartEpisode calls and must not
+// derive episode randomness from shared mutable RNG state — every built-in
+// recommender seeds its episode RNG from (base seed, target), which keeps
+// results bit-identical to a sequential run regardless of scheduling (see
+// TestEvaluateDeterminism). Only StepTime varies between runs; it measures
+// wall-clock.
 //
-// A recommender that also implements BatchRecommender is run through one
-// fused RunBatchedEpisodes call over all targets instead of the per-target
-// fan-out. The batched forward pass is pinned output-identical to the
-// sequential one (float64 path, see internal/core's batch tests), so scores
-// do not depend on which route a recommender takes; only StepTime reflects
-// the amortization.
+// A recommender that also implements BatchRecommender runs as
+// min(parallel.Limit(), len(targets)) contiguous target blocks, each one
+// RunBatchedEpisodes call on its own StartBatch session, queued ahead of the
+// per-target episodes (a batched error wins; one worker runs one fused batch
+// over all targets). Batch width is pinned invisible in the output (float64
+// path, see internal/core's batch tests), so scores do not depend on the
+// route or the block count; only StepTime reflects the amortization.
 func Evaluate(recs []Recommender, room *dataset.Room, targets []int, beta float64) (map[string]metrics.Result, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("sim: no targets")
@@ -223,37 +224,46 @@ func Evaluate(recs []Recommender, room *dataset.Room, targets []int, beta float6
 	parallel.ForEach(len(targets), func(i int) {
 		dogs[i] = occlusion.BuildDOG(targets[i], room.Traj, room.AvatarRadius)
 	})
-	// Flatten (recommender, target) pairs row-major so the lowest-index
-	// error reported by ForEachErr is exactly the error a sequential
-	// recs-outer/targets-inner loop would have hit first.
+	// Results sit row-major by (recommender, target); the work list is the
+	// batch blocks, then the episodes row-major, so ForEachErr's lowest-index
+	// error is the one a sequential loop in that order would hit first.
 	results := make([]metrics.Result, len(recs)*len(targets))
-	// Batch-capable recommenders run fused first — one StepTargets per frame
-	// over the whole target set — then the rest fan out per episode.
-	batched := make([]bool, len(recs))
+	type unit struct {
+		r, lo, hi int
+		batch     BatchRecommender // nil for a per-target episode
+	}
+	var blocks, episodes []unit
+	nb := min(parallel.Limit(), len(targets))
 	for r, rec := range recs {
-		br, ok := rec.(BatchRecommender)
-		if !ok {
+		if br, ok := rec.(BatchRecommender); ok {
+			for b := 0; b < nb; b++ {
+				blocks = append(blocks, unit{r, b * len(targets) / nb, (b + 1) * len(targets) / nb, br})
+			}
 			continue
 		}
-		ers, err := RunBatchedEpisodes(br, room, dogs, beta)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s batched: %w", rec.Name(), err)
-		}
 		for i := range targets {
-			results[r*len(targets)+i] = ers[i].Result
+			episodes = append(episodes, unit{r: r, lo: i, hi: i + 1})
 		}
-		batched[r] = true
 	}
-	err := parallel.ForEachErr(len(results), func(k int) error {
-		r, i := k/len(targets), k%len(targets)
-		if batched[r] {
+	work := append(blocks, episodes...)
+	err := parallel.ForEachErr(len(work), func(k int) error {
+		u := work[k]
+		slots := results[u.r*len(targets)+u.lo : u.r*len(targets)+u.hi]
+		if u.batch != nil {
+			ers, err := RunBatchedEpisodes(u.batch, room, dogs[u.lo:u.hi], beta)
+			if err != nil {
+				return fmt.Errorf("sim: %s batched: %w", u.batch.Name(), err)
+			}
+			for i, er := range ers {
+				slots[i] = er.Result
+			}
 			return nil
 		}
-		er, err := RunEpisode(recs[r], room, dogs[i], beta)
+		er, err := RunEpisode(recs[u.r], room, dogs[u.lo], beta)
 		if err != nil {
-			return fmt.Errorf("sim: %s on target %d: %w", recs[r].Name(), targets[i], err)
+			return fmt.Errorf("sim: %s on target %d: %w", recs[u.r].Name(), targets[u.lo], err)
 		}
-		results[k] = er.Result
+		slots[0] = er.Result
 		return nil
 	})
 	if err != nil {

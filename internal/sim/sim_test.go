@@ -2,11 +2,13 @@ package sim
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"after/internal/dataset"
 	"after/internal/occlusion"
+	"after/internal/parallel"
 )
 
 func room(t testing.TB, seed int64, steps int) *dataset.Room {
@@ -96,6 +98,11 @@ func TestEvaluateSharedScene(t *testing.T) {
 	}
 }
 
+// shortBatch is patternRec whose fused sessions render one user too few.
+type shortBatch struct{ patternRec }
+
+func (shortBatch) StartBatch(rm *dataset.Room) BatchStepper { return patternBatch{n: rm.N - 1} }
+
 func TestEvaluateErrors(t *testing.T) {
 	rm := room(t, 3, 2)
 	if _, err := Evaluate([]Recommender{fixedRec("a")}, rm, nil, 0.5); err == nil {
@@ -103,6 +110,21 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 	if _, err := Evaluate([]Recommender{fixedRec("a")}, rm, []int{99}, 0.5); err == nil {
 		t.Error("bad target accepted")
+	}
+	// Both recommenders render sets one user short, so every unit fails to
+	// score; the fused blocks are queued first, so their error wins even
+	// over an episode listed before the batch recommender.
+	short := Func{RecName: "short", Start: func(rm *dataset.Room, _ int) Stepper {
+		return fixedStepper{rendered: make([]bool, rm.N-1)}
+	}}
+	for _, workers := range []int{1, 2, 8} {
+		var err error
+		parallel.WithLimit(workers, func() {
+			_, err = Evaluate([]Recommender{short, shortBatch{}}, rm, []int{0, 5, 10}, 0.5)
+		})
+		if err == nil || !strings.Contains(err.Error(), "sim: pattern batched:") {
+			t.Errorf("workers=%d: err = %v, want the batched error", workers, err)
+		}
 	}
 }
 
