@@ -137,23 +137,19 @@ func (k *dcrnnKernel) forward(x *tensor.Tensor, adj *tensor.CSR, h *tensor.Tenso
 // baselines: MIA's four columns plus the occlusion degree.
 const recurrentInputDim = 5
 
-// features builds the recurrent baselines' per-node input: the same
-// utilities POSHGNN sees (fair comparison) without pruning or structural
-// deltas, plus a normalized occlusion-degree column — TGCN's raw-adjacency
-// convolution can derive local density by itself, but DCRNN's row-normalized
-// diffusion cannot, and the loss optimum depends on it.
+// recurrentFeatures builds the recurrent baselines' per-node input: the x̂_t
+// POSHGNN sees (fair comparison), which MIA writes straight into the first
+// four columns, without structural deltas, and a normalized occlusion-degree
+// fifth column — TGCN's raw-adjacency convolution can derive local density
+// by itself, but DCRNN's row-normalized diffusion cannot, and the loss
+// optimum depends on it. The loss's p̂_t and ŝ_t carry MIA's pruning.
 func recurrentFeatures(room *dataset.Room, frame *occlusion.StaticGraph) *core.MIAOutput {
 	mia := core.MIA{Enabled: true}
-	agg := mia.Aggregate(room, frame, nil)
+	agg := mia.Aggregate(room, frame, nil, nil, recurrentInputDim)
 	n := room.N
-	x := tensor.NewMatrix(n, recurrentInputDim)
 	for w := 0; w < n; w++ {
-		for j := 0; j < agg.X.Cols; j++ {
-			x.Set(w, j, agg.X.At(w, j))
-		}
-		x.Set(w, agg.X.Cols, float64(len(frame.Neighbors(w)))/float64(n))
+		agg.X.Set(w, recurrentInputDim-1, float64(len(frame.Neighbors(w)))/float64(n))
 	}
-	agg.X = x
 	return agg
 }
 

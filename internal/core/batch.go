@@ -28,20 +28,13 @@ type BatchOptions struct {
 
 // batchState is one target's recurrent state inside a BatchSession: the
 // previous frame, r_{t-1} and h_{t-1}, stored as raw slices in the pass's
-// precision because inference never touches the autodiff tape.
+// precision because inference never touches the autodiff tape, and MIA's
+// degree cache, which training carries across an episode the same way.
 type batchState[F tensor.Float] struct {
 	prevFrame *occlusion.StaticGraph
 	prevR     []F
 	prevH     []F
-
-	// Degree caches for the Δ features: deg/two hold |N(w)| and
-	// Σ_{u∈N(w)}|N(u)| of degFrame, degPrev/twoPrev the same for
-	// degPrevFrame. All values are exact small integers in float64, so
-	// caching them across steps changes no bits — it only spares the
-	// previous frame's recomputation every step.
-	deg, two               []float64
-	degPrev, twoPrev       []float64
-	degFrame, degPrevFrame *occlusion.StaticGraph
+	degrees   DegreeCache
 }
 
 // precision is what the fused pass does differently per element type. One
@@ -171,10 +164,6 @@ type BatchSession struct {
 	model *POSHGNN
 	room  *dataset.Room
 
-	// iface is the interface-flag feature column (1 for MR users), computed
-	// once per session: it is target- and frame-independent.
-	iface []float64
-
 	mu    sync.Mutex
 	fused fusedPass     // the pass at the session's precision, with per-target state
 	adjs  []*tensor.CSR // reused per-step graph list (len = batch K)
@@ -211,16 +200,7 @@ func (b *BatchSession) SetProfLabels(l *prof.Labels) {
 // room may be stepped through the returned session; per-target recurrent
 // state is created on first use.
 func (m *POSHGNN) StartBatchSession(room *dataset.Room, opt BatchOptions) *BatchSession {
-	b := &BatchSession{
-		model: m,
-		room:  room,
-		iface: make([]float64, room.N),
-	}
-	for w, ifc := range room.Interfaces {
-		if ifc == occlusion.MR {
-			b.iface[w] = 1
-		}
-	}
+	b := &BatchSession{model: m, room: room}
 	if opt.Float32 {
 		b.fused = newPass(b, prec32)
 	} else {
@@ -336,7 +316,9 @@ func (ps *pass[F]) step(targets []int, frames []*occlusion.StaticGraph) [][]bool
 		deltaD, prevHD = delta.Data, prevH.Data
 	}
 	for k, target := range targets {
-		fillColumns(b, k, bk, frames[k], ps.state(target), x.Data, mask.Data, prevR.Data, deltaD, prevHD)
+		st := ps.state(target)
+		fill(&m.mia, room, frames[k], st.prevFrame, &st.degrees, k, bk, featureDim, x.Data, mask.Data, deltaD)
+		gatherColumn(st, prevR.Data, prevHD, k, bk, hid)
 		adjs[k] = frames[k].AdjacencyCSR()
 	}
 	spMIA.End()
@@ -400,54 +382,12 @@ func (ps *pass[F]) step(targets []int, frames []*occlusion.StaticGraph) [][]bool
 	return out
 }
 
-// fillColumns writes one target's features into column block k of the wide
-// matrices (row-major, bk column blocks per row), replicating MIA.Aggregate
-// (and fillDelta, via fillDeltaColumn) value for value: the target row is
-// all-zero with mask 0, distance is scaled by the room diagonal, the
-// physical mask prunes MR-occluded users for an MR target, and the
-// blocklist zeroes its entries. Features are computed in float64 exactly as
-// MIA does and rounded once on store on the float32 path. st is the
-// target's recurrent state; delta and prevH are nil when LWP is off.
-func fillColumns[F tensor.Float](b *BatchSession, k, bk int, frame *occlusion.StaticGraph, st *batchState[F], x, mask, prevR, delta, prevH []F) {
-	room, mia := b.room, &b.model.mia
-	n := room.N
-	target := frame.Target
-	roomDiag := math.Sqrt2 * 10
-	targetMR := mia.Enabled && room.Interfaces[target] == occlusion.MR
-	hid := b.model.cfg.Hidden
-	for w := 0; w < n; w++ {
-		xo := (w*bk + k) * featureDim
-		if w == target {
-			x[xo], x[xo+1], x[xo+2], x[xo+3] = 0, 0, 0, 0
-			mask[w*bk+k] = 0
-		} else {
-			x[xo] = F(room.Pref(target, w))
-			x[xo+1] = F(room.Social(target, w))
-			x[xo+2] = F(math.Min(1, frame.Dist[w]/roomDiag))
-			x[xo+3] = F(b.iface[w])
-			mk := F(1)
-			if targetMR {
-				// Inlined occlusion.PhysicalMask: an MR target loses sight of
-				// any user occluded by another physically present MR user.
-				for _, u := range frame.Neighbors(w) {
-					if int(u) != target && room.Interfaces[u] == occlusion.MR {
-						mk = 0
-						break
-					}
-				}
-			}
-			if mia.Blocklist != nil && mia.Blocklist[w] {
-				mk = 0
-			}
-			mask[w*bk+k] = mk
-		}
-		prevR[w*bk+k] = st.prevR[w]
-	}
-	if delta != nil {
-		fillDeltaColumn(b, delta, k, bk, frame, st)
-	}
-	if prevH != nil {
-		for w := 0; w < n; w++ {
+// gatherColumn copies one target's r_{t-1} and h_{t-1} into column block k
+// of the wide matrices, mirroring scatterColumn; prevH is nil without LWP.
+func gatherColumn[F tensor.Float](st *batchState[F], prevR, prevH []F, k, bk, hid int) {
+	for w, r := range st.prevR {
+		prevR[w*bk+k] = r
+		if prevH != nil {
 			copy(prevH[(w*bk+k)*hid:][:hid], st.prevH[w*hid:(w+1)*hid])
 		}
 	}
@@ -486,76 +426,6 @@ func scatterColumn[F tensor.Float](st *batchState[F], col []float64, r, h []F, k
 		st.prevR[w] = r[c]
 		col[w] = float64(r[c])
 		copy(st.prevH[w*hid:(w+1)*hid], h[c*hid:(c+1)*hid])
-	}
-}
-
-// degTwoInto fills deg[w] = |N(w)| and two[w] = Σ_{u∈N(w)} |N(u)| for frame,
-// straight off the CSR arrays (no per-neighbor method calls). Both are exact
-// small integers in float64, so the sums match fillDelta's Neighbors-based
-// computation bit for bit regardless of iteration order.
-func degTwoInto(frame *occlusion.StaticGraph, deg, two []float64) {
-	csr := frame.AdjacencyCSR()
-	for w := range deg {
-		deg[w] = float64(csr.RowPtr[w+1] - csr.RowPtr[w])
-	}
-	for w := range two {
-		var s float64
-		for _, u := range csr.Col[csr.RowPtr[w]:csr.RowPtr[w+1]] {
-			s += deg[u]
-		}
-		two[w] = s
-	}
-}
-
-// deltaDegrees returns the degree sums of frame and of the target's previous
-// frame, serving the previous step's sums from the state cache (each frame's
-// sums are computed once, when it is current). The returned slices alias the
-// cache and are valid until the target's next step. Duplicate columns for the
-// same target within one batch see identical sums.
-func deltaDegrees[F tensor.Float](n int, st *batchState[F], frame *occlusion.StaticGraph) (deg, two, degPrev, twoPrev []float64) {
-	if st.deg == nil {
-		st.deg, st.two = make([]float64, n), make([]float64, n)
-		st.degPrev, st.twoPrev = make([]float64, n), make([]float64, n)
-	}
-	if st.degFrame == frame && st.degPrevFrame == st.prevFrame {
-		return st.deg, st.two, st.degPrev, st.twoPrev
-	}
-	switch {
-	case st.prevFrame != nil && st.degFrame == st.prevFrame:
-		st.deg, st.degPrev = st.degPrev, st.deg
-		st.two, st.twoPrev = st.twoPrev, st.two
-	case st.prevFrame != nil:
-		degTwoInto(st.prevFrame, st.degPrev, st.twoPrev)
-	default:
-		for w := range st.degPrev {
-			st.degPrev[w], st.twoPrev[w] = 0, 0
-		}
-	}
-	st.degPrevFrame = st.prevFrame
-	degTwoInto(frame, st.deg, st.two)
-	st.degFrame = frame
-	return st.deg, st.two, st.degPrev, st.twoPrev
-}
-
-// fillDeltaColumn is fillDelta scattered into column block k of the wide Δ
-// matrix. When MIA is disabled the block is zeroed, matching the autodiff
-// path's untouched zero matrix.
-func fillDeltaColumn[F tensor.Float](b *BatchSession, delta []F, k, bk int, frame *occlusion.StaticGraph, st *batchState[F]) {
-	n := frame.N
-	if !b.model.mia.Enabled {
-		for w := 0; w < n; w++ {
-			o := (w*bk + k) * deltaDim
-			delta[o], delta[o+1], delta[o+2] = 0, 0, 0
-		}
-		return
-	}
-	deg, two, degPrev, twoPrev := deltaDegrees(n, st, frame)
-	scale := 1 / float64(n)
-	for w := 0; w < n; w++ {
-		o := (w*bk + k) * deltaDim
-		delta[o] = 1
-		delta[o+1] = F((deg[w] - degPrev[w]) * scale)
-		delta[o+2] = F((two[w] - twoPrev[w]) * scale)
 	}
 }
 

@@ -60,7 +60,7 @@ func TestMIAAggregateBasics(t *testing.T) {
 	room := testRoom(1)
 	dog := occlusion.BuildDOG(0, room.Traj, room.AvatarRadius)
 	mia := MIA{Enabled: true}
-	out := mia.Aggregate(room, dog.At(0), nil)
+	out := mia.Aggregate(room, dog.At(0), nil, new(DegreeCache), featureDim)
 	if out.X.Rows != 5 || out.X.Cols != featureDim {
 		t.Fatalf("X shape %dx%d", out.X.Rows, out.X.Cols)
 	}
@@ -101,7 +101,7 @@ func TestMIADisabledPassThrough(t *testing.T) {
 	room := testRoom(1)
 	dog := occlusion.BuildDOG(0, room.Traj, room.AvatarRadius)
 	mia := MIA{Enabled: false}
-	out := mia.Aggregate(room, dog.At(0), dog.At(0))
+	out := mia.Aggregate(room, dog.At(0), dog.At(0), new(DegreeCache), featureDim)
 	// Everyone but the target unmasked, zero Δ.
 	if out.Mask.At(2, 0) != 1 {
 		t.Error("disabled MIA should not prune")
@@ -122,8 +122,8 @@ func TestMIADeltaReflectsChange(t *testing.T) {
 	frameA := occlusion.BuildStatic(0, room.Traj.Pos[0], room.AvatarRadius)
 	frameB := occlusion.BuildStatic(0, posB, room.AvatarRadius)
 	mia := MIA{Enabled: true}
-	outSame := mia.Aggregate(room, frameA, frameA)
-	outDiff := mia.Aggregate(room, frameB, frameA)
+	outSame := mia.Aggregate(room, frameA, frameA, new(DegreeCache), featureDim)
+	outDiff := mia.Aggregate(room, frameB, frameA, new(DegreeCache), featureDim)
 	for w := 0; w < 5; w++ {
 		if outSame.Delta.At(w, 1) != 0 || outSame.Delta.At(w, 2) != 0 {
 			t.Error("identical frames should give zero structural diff")
@@ -147,9 +147,121 @@ func TestMIABlocklist(t *testing.T) {
 	room := testRoom(1)
 	dog := occlusion.BuildDOG(0, room.Traj, room.AvatarRadius)
 	mia := MIA{Enabled: true, Blocklist: []bool{false, true, false, false, false}}
-	out := mia.Aggregate(room, dog.At(0), nil)
+	out := mia.Aggregate(room, dog.At(0), nil, nil, featureDim)
 	if out.Mask.At(1, 0) != 0 {
 		t.Error("blocklisted user not masked")
+	}
+}
+
+// TestFillMatchesReference holds MIA's one fill to refAggregate, the
+// independent reference, bit for bit: at width 1 through Aggregate (with the
+// degree cache carried as training carries it, with a fresh cache, and in
+// the recurrent baselines' 5-column layout without one) and as the column
+// blocks of a K-wide float64 batch, as the fused pass calls it. Each case is
+// a schedule of batches. A target's prev is the last frame it stepped, so a
+// target that skips a step sees an older frame, one stepped twice on the
+// same frame sees that frame as prev, and one listed twice in a batch sees
+// the same prev in both columns.
+func TestFillMatchesReference(t *testing.T) {
+	fixed, moving := testRoom(3), movingRoom(6, 3)
+	block := make([]bool, fixed.N)
+	block[4] = true
+	type batch struct {
+		at      int // frame index
+		targets []int
+	}
+	every := func(steps int, targets ...int) []batch {
+		s := make([]batch, steps)
+		for i := range s {
+			s[i] = batch{i, targets}
+		}
+		return s
+	}
+	cases := []struct {
+		name  string
+		room  *dataset.Room
+		mia   MIA
+		steps []batch
+	}{
+		{"MR target", fixed, MIA{Enabled: true}, every(3, 0)},
+		{"VR target", fixed, MIA{Enabled: true}, every(3, 2)},
+		{"MIA off", fixed, MIA{}, every(3, 0, 2)},
+		{"blocklist", fixed, MIA{Enabled: true, Blocklist: block}, every(3, 0, 2)},
+		{"moving room", moving, MIA{Enabled: true}, every(6, 0, 3, 7, 11, 14)},
+		{"skip, repeat and duplicate", moving, MIA{Enabled: true},
+			[]batch{{0, []int{2, 9}}, {1, []int{2}}, {2, []int{9, 2, 9}}, {3, []int{2}}, {3, []int{2, 2}}, {5, []int{9, 2}}}},
+	}
+	same := func(name, what string, step int, want, got float64) {
+		t.Helper()
+		if math.Float64bits(want) != math.Float64bits(got) {
+			t.Fatalf("%s, batch %d: %s reference %v, fill %v", name, step, what, want, got)
+		}
+	}
+	for _, tc := range cases {
+		n := tc.room.N
+		type track struct {
+			dog       *occlusion.DOG
+			prev      *occlusion.StaticGraph
+			one, wide DegreeCache
+		}
+		tracks := map[int]*track{}
+		for step, bt := range tc.steps {
+			bk := len(bt.targets)
+			x, mask, delta := make([]float64, n*bk*featureDim), make([]float64, n*bk), make([]float64, n*bk*deltaDim)
+			for _, buf := range [][]float64{x, mask, delta} {
+				for i := range buf {
+					buf[i] = math.NaN() // a fill that skips an entry fails
+				}
+			}
+			wants := make([]*MIAOutput, bk)
+			for k, target := range bt.targets {
+				tr := tracks[target]
+				if tr == nil {
+					tr = &track{dog: occlusion.BuildDOG(target, tc.room.Traj, tc.room.AvatarRadius)}
+					tracks[target] = tr
+				}
+				frame := tr.dog.Frames[bt.at]
+				want := refAggregate(&tc.mia, tc.room, frame, tr.prev)
+				wants[k] = want
+				carried := tc.mia.Aggregate(tc.room, frame, tr.prev, &tr.one, featureDim)
+				fresh := tc.mia.Aggregate(tc.room, frame, tr.prev, new(DegreeCache), featureDim)
+				five := tc.mia.Aggregate(tc.room, frame, nil, nil, 5)
+				if five.Delta != nil {
+					t.Fatalf("%s: Δ allocated without a cache", tc.name)
+				}
+				for w := 0; w < n; w++ {
+					same(tc.name, "5-column spare", step, 0, five.X.At(w, featureDim))
+					for _, got := range []*MIAOutput{carried, fresh, five} {
+						for j := 0; j < featureDim; j++ {
+							same(tc.name, "x̂", step, want.X.At(w, j), got.X.At(w, j))
+						}
+						same(tc.name, "m", step, want.Mask.At(w, 0), got.Mask.At(w, 0))
+						same(tc.name, "p̂", step, want.PHat.At(w, 0), got.PHat.At(w, 0))
+						same(tc.name, "ŝ", step, want.SHat.At(w, 0), got.SHat.At(w, 0))
+					}
+					for j := 0; j < deltaDim; j++ {
+						same(tc.name, "Δ", step, want.Delta.At(w, j), carried.Delta.At(w, j))
+						same(tc.name, "Δ, fresh cache", step, want.Delta.At(w, j), fresh.Delta.At(w, j))
+					}
+				}
+				fill(&tc.mia, tc.room, frame, tr.prev, &tr.wide, k, bk, featureDim, x, mask, delta)
+			}
+			for k, want := range wants {
+				for w := 0; w < n; w++ {
+					c := w*bk + k
+					for j := 0; j < featureDim; j++ {
+						same(tc.name, "batched x̂", step, want.X.At(w, j), x[c*featureDim+j])
+					}
+					for j := 0; j < deltaDim; j++ {
+						same(tc.name, "batched Δ", step, want.Delta.At(w, j), delta[c*deltaDim+j])
+					}
+					same(tc.name, "batched m", step, want.Mask.At(w, 0), mask[c])
+				}
+			}
+			for _, target := range bt.targets {
+				tracks[target].prev = tracks[target].dog.Frames[bt.at]
+			}
+		}
 	}
 }
 
@@ -157,7 +269,7 @@ func TestForwardShapesAndRange(t *testing.T) {
 	room := testRoom(2)
 	dog := occlusion.BuildDOG(0, room.Traj, room.AvatarRadius)
 	m := New(Config{UseMIA: true, UseLWP: true, Seed: 1})
-	out := m.forward(room, dog.At(0), nil, nil, nil)
+	out := m.forward(room, dog.At(0), nil, new(DegreeCache), nil, nil)
 	if out.r.Rows() != 5 || out.r.Cols() != 1 {
 		t.Fatalf("r shape %dx%d", out.r.Rows(), out.r.Cols())
 	}
@@ -182,7 +294,7 @@ func TestForwardWithoutLWP(t *testing.T) {
 	room := testRoom(1)
 	dog := occlusion.BuildDOG(0, room.Traj, room.AvatarRadius)
 	m := New(Config{UseMIA: true, UseLWP: false, Seed: 1})
-	out := m.forward(room, dog.At(0), nil, nil, nil)
+	out := m.forward(room, dog.At(0), nil, new(DegreeCache), nil, nil)
 	if out.sigma != nil {
 		t.Error("LWP disabled but sigma produced")
 	}
@@ -196,12 +308,13 @@ func TestStepLossNonNegative(t *testing.T) {
 	dog := occlusion.BuildDOG(0, room.Traj, room.AvatarRadius)
 	m := New(Config{UseMIA: true, UseLWP: true, Seed: 2})
 	var prevR *tensor.Tensor
+	var degrees DegreeCache
 	for t2, frame := range dog.Frames {
 		var prev *occlusion.StaticGraph
 		if t2 > 0 {
 			prev = dog.Frames[t2-1]
 		}
-		out := m.forward(room, frame, prev, prevR, nil)
+		out := m.forward(room, frame, prev, &degrees, prevR, nil)
 		l := StepLoss(out.r, prevR, out.mia, m.cfg.Alpha, m.cfg.Beta)
 		if l.Value.Data[0] < -1e-9 {
 			t.Fatalf("loss %v negative at step %d", l.Value.Data[0], t2)

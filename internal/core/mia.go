@@ -27,7 +27,8 @@ type MIAOutput struct {
 	// X is x̂_t: |V|×4 node features (normalized preference, normalized
 	// social presence, scaled distance, interface flag).
 	X *tensor.Matrix
-	// Delta is Δ_t: |V|×3 structural-change embedding.
+	// Delta is Δ_t: |V|×3 structural-change embedding (nil when Aggregate
+	// ran without a degree cache).
 	Delta *tensor.Matrix
 	// Mask is m_t as a |V|×1 column (0 prunes a candidate).
 	Mask *tensor.Matrix
@@ -42,9 +43,9 @@ type MIAOutput struct {
 }
 
 // MIA is the Multi-modal Information Aggregator. Enabled=false turns it into
-// the pass-through used by the "Only PDR" ablation: raw utilities, no
-// distance normalization, zero Δ, and no hybrid-participation pruning
-// (only the target herself stays masked).
+// the pass-through used by the "Only PDR" ablation: x̂_t is unchanged, but Δ
+// is zero and no hybrid-participation pruning runs (only the target herself
+// and blocklisted users stay masked).
 type MIA struct {
 	Enabled bool
 	// Blocklist, when non-nil, marks users the target never wants rendered;
@@ -52,99 +53,152 @@ type MIA struct {
 	Blocklist []bool
 }
 
-// Aggregate preprocesses one step. prev may be nil at t=0, in which case the
-// structural difference is taken against an edgeless graph.
-func (m *MIA) Aggregate(room *dataset.Room, frame, prev *occlusion.StaticGraph) *MIAOutput {
+// roomDiag scales the distance feature: an informative scale, its exact
+// value immaterial.
+const roomDiag = math.Sqrt2 * 10
+
+// Aggregate runs MIA for one step at width 1 into fresh matrices. X gets
+// xCols ≥ featureDim columns: x̂_t fills the first featureDim, and a caller
+// that appends features of its own (the recurrent baselines) writes the
+// rest. prev is the target's previous frame, nil at t=0, and c carries the
+// target's degree sums from one step of an episode to the next; with c nil,
+// Δ_t is neither computed nor allocated.
+func (m *MIA) Aggregate(room *dataset.Room, frame, prev *occlusion.StaticGraph, c *DegreeCache, xCols int) *MIAOutput {
 	n := room.N
-	target := frame.Target
-	x := tensor.NewMatrix(n, featureDim)
-	phat := tensor.NewMatrix(n, 1)
-	shat := tensor.NewMatrix(n, 1)
-	mask := tensor.NewMatrix(n, 1)
-
-	roomDiag := math.Sqrt2 * 10 // informative scale; exact value immaterial
-	var physMask []float64
-	if m.Enabled {
-		physMask = frame.PhysicalMask(room.Interfaces)
+	out := &MIAOutput{
+		X:    tensor.NewMatrix(n, xCols),
+		Mask: tensor.NewMatrix(n, 1),
+		Adj:  frame.AdjacencyCSR(),
+		PHat: tensor.NewMatrix(n, 1),
+		SHat: tensor.NewMatrix(n, 1),
 	}
-	// Distance handling (Sec. IV-A): the paper states the normalization is
-	// "crucial to ensure that POSHGNN focuses on preference and social
-	// presence rather than the users' relative distance". We realize that
-	// intent by feeding utilities unscaled and exposing distance as its own
-	// feature column: dividing the utilities by squared distance instead
-	// would re-couple them to geometry and (measurably) inverts the Table V
-	// ablation ordering under this repo's evaluation semantics.
+	var delta []float64
+	if c != nil {
+		out.Delta = tensor.NewMatrix(n, deltaDim)
+		delta = out.Delta.Data
+	}
+	fill(m, room, frame, prev, c, 0, 1, xCols, out.X.Data, out.Mask.Data, delta)
+	for w, mk := range out.Mask.Data {
+		out.PHat.Data[w] = out.X.Data[w*xCols] * mk
+		out.SHat.Data[w] = out.X.Data[w*xCols+1] * mk
+	}
+	return out
+}
+
+// fill is MIA's one implementation: training and the recurrent baselines run
+// it at width 1 through Aggregate, the fused pass once per target of a batch.
+// It writes frame.Target's x̂_t, m_t and, unless delta is nil, Δ_t into column
+// block k of bk row-major blocks: row w of x̂_t at x[(w*bk+k)*xCols:] (its
+// first featureDim entries), of m_t at mask[w*bk+k] and of Δ_t at
+// delta[(w*bk+k)*deltaDim:]. The target's row is all-zero with mask 0, the
+// hybrid-participation rule and the blocklist prune the mask, and a disabled
+// MIA leaves Δ_t zero. prev and c are as in Aggregate. Features are computed
+// in float64 and rounded once on store on the float32 path.
+func fill[F tensor.Float](m *MIA, room *dataset.Room, frame, prev *occlusion.StaticGraph, c *DegreeCache, k, bk, xCols int, x, mask, delta []F) {
+	n, target := room.N, frame.Target
 	for w := 0; w < n; w++ {
+		xo, mo := (w*bk+k)*xCols, w*bk+k
 		if w == target {
-			continue // all-zero row for the target; mask 0
+			x[xo], x[xo+1], x[xo+2], x[xo+3] = 0, 0, 0, 0
+			mask[mo] = 0
+			continue
 		}
-		p := room.Pref(target, w)
-		s := room.Social(target, w)
-		d := frame.Dist[w]
-		x.Set(w, 0, p)
-		x.Set(w, 1, s)
-		x.Set(w, 2, math.Min(1, d/roomDiag))
+		// Distance handling (Sec. IV-A): the paper states the normalization
+		// is "crucial to ensure that POSHGNN focuses on preference and social
+		// presence rather than the users' relative distance". We realize that
+		// intent by feeding utilities unscaled and exposing distance as its
+		// own feature column: dividing the utilities by squared distance
+		// instead would re-couple them to geometry and (measurably) inverts
+		// the Table V ablation ordering under this repo's evaluation
+		// semantics.
+		x[xo] = F(room.Pref(target, w))
+		x[xo+1] = F(room.Social(target, w))
+		x[xo+2] = F(math.Min(1, frame.Dist[w]/roomDiag))
+		x[xo+3] = 0
 		if room.Interfaces[w] == occlusion.MR {
-			x.Set(w, 3, 1)
+			x[xo+3] = 1
 		}
-		mk := 1.0
-		if m.Enabled {
-			mk = physMask[w]
+		mask[mo] = 1
+		if m.Enabled && frame.PhysicallyOccluded(w, room.Interfaces) || m.Blocklist != nil && m.Blocklist[w] {
+			mask[mo] = 0
 		}
-		if m.Blocklist != nil && m.Blocklist[w] {
-			mk = 0
-		}
-		mask.Set(w, 0, mk)
-		phat.Set(w, 0, p*mk)
-		shat.Set(w, 0, s*mk)
 	}
-
-	delta := tensor.NewMatrix(n, deltaDim)
-	if m.Enabled {
-		fillDelta(delta, frame, prev)
+	if delta == nil {
+		return
 	}
-	return &MIAOutput{
-		X:     x,
-		Delta: delta,
-		Mask:  mask,
-		Adj:   frame.AdjacencyCSR(),
-		PHat:  phat,
-		SHat:  shat,
+	// Δ_t = [e⁰ ‖ e¹ ‖ e²] with e¹ = (A_t − A_{t−1})·e⁰ and
+	// e² = (A_t² − A_{t−1}²)·e⁰, evaluated from degree sums so the quadratic
+	// A² is never materialized. The difference columns are scaled by 1/|V| to
+	// keep features O(1) regardless of room size (a deviation from the raw
+	// integer counts in the paper, noted in DESIGN.md: it only rescales a
+	// learned linear map).
+	if !m.Enabled {
+		for w := 0; w < n; w++ {
+			o := (w*bk + k) * deltaDim
+			delta[o], delta[o+1], delta[o+2] = 0, 0, 0
+		}
+		return
+	}
+	deg, two, degPrev, twoPrev := c.sums(frame, prev)
+	scale := 1 / float64(n)
+	for w := 0; w < n; w++ {
+		o := (w*bk + k) * deltaDim
+		delta[o] = 1
+		delta[o+1] = F((deg[w] - degPrev[w]) * scale)
+		delta[o+2] = F((two[w] - twoPrev[w]) * scale)
 	}
 }
 
-// fillDelta computes Δ_t = [e⁰ ‖ e¹ ‖ e²] with e¹ = (A_t − A_{t−1})·e⁰ and
-// e² = (A_t² − A_{t−1}²)·e⁰, evaluated as repeated mat-vec products so the
-// quadratic A² is never materialized. The difference columns are scaled by
-// 1/|V| to keep features O(1) regardless of room size (a deviation from the
-// raw integer counts in the paper, noted in DESIGN.md: it only rescales a
-// learned linear map).
-func fillDelta(delta *tensor.Matrix, frame, prev *occlusion.StaticGraph) {
-	n := frame.N
-	deg := make([]float64, n)     // A_t · 1
-	degPrev := make([]float64, n) // A_{t-1} · 1
-	for w := 0; w < n; w++ {
-		deg[w] = float64(len(frame.Neighbors(w)))
-		if prev != nil {
-			degPrev[w] = float64(len(prev.Neighbors(w)))
-		}
+// DegreeCache carries one target's degree sums for Δ_t across the steps of
+// an episode: deg/two hold |N(w)| and Σ_{u∈N(w)}|N(u)| of frame, and
+// degPrev/twoPrev the same for prev. All are exact small integers in float64,
+// so carrying them changes no bits; it spares recomputing the previous
+// frame's sums every step. The zero value is ready to use.
+type DegreeCache struct {
+	frame, prev                *occlusion.StaticGraph
+	deg, two, degPrev, twoPrev []float64
+}
+
+// sums returns the degree sums of frame and of prev (nil: an edgeless
+// graph), computing each frame's sums once, when it is current. The slices
+// alias the cache; a second call with the same frames (a target listed twice
+// in one batch) returns them unchanged.
+func (c *DegreeCache) sums(frame, prev *occlusion.StaticGraph) (deg, two, degPrev, twoPrev []float64) {
+	if c.deg == nil {
+		n := frame.N
+		c.deg, c.two = make([]float64, n), make([]float64, n)
+		c.degPrev, c.twoPrev = make([]float64, n), make([]float64, n)
 	}
-	two := make([]float64, n)     // A_t · deg
-	twoPrev := make([]float64, n) // A_{t-1} · degPrev
-	for w := 0; w < n; w++ {
-		for _, u := range frame.Neighbors(w) {
-			two[w] += deg[u]
+	if c.frame != frame || c.prev != prev {
+		switch {
+		case prev != nil && c.frame == prev:
+			c.deg, c.degPrev = c.degPrev, c.deg
+			c.two, c.twoPrev = c.twoPrev, c.two
+		case prev != nil:
+			degTwoInto(prev, c.degPrev, c.twoPrev)
+		default:
+			clear(c.degPrev)
+			clear(c.twoPrev)
 		}
-		if prev != nil {
-			for _, u := range prev.Neighbors(w) {
-				twoPrev[w] += degPrev[u]
-			}
-		}
+		degTwoInto(frame, c.deg, c.two)
+		c.frame, c.prev = frame, prev
 	}
-	scale := 1 / float64(n)
-	for w := 0; w < n; w++ {
-		delta.Set(w, 0, 1)
-		delta.Set(w, 1, (deg[w]-degPrev[w])*scale)
-		delta.Set(w, 2, (two[w]-twoPrev[w])*scale)
+	return c.deg, c.two, c.degPrev, c.twoPrev
+}
+
+// degTwoInto fills deg[w] = |N(w)| and two[w] = Σ_{u∈N(w)} |N(u)| for frame,
+// straight off the CSR arrays. Both are exact small integers in float64, so
+// no summation order can change their bits.
+func degTwoInto(frame *occlusion.StaticGraph, deg, two []float64) {
+	csr := frame.AdjacencyCSR()
+	for w := range deg {
+		deg[w] = float64(csr.RowPtr[w+1] - csr.RowPtr[w])
+	}
+	for w := range two {
+		var s float64
+		for _, u := range csr.Col[csr.RowPtr[w]:csr.RowPtr[w+1]] {
+			s += deg[u]
+		}
+		two[w] = s
 	}
 }

@@ -145,11 +145,15 @@ type stepOutput struct {
 // BatchSession, which is pinned bit-identical to it. Each stage is wrapped in
 // an obs span (`mia`, `pdr`, `lwp`), at a load-and-branch cost when
 // observability is off.
-// prevR/prevH may be nil at t=0 (they default to zeros: nothing to inherit).
-func (m *POSHGNN) forward(room *dataset.Room, frame, prev *occlusion.StaticGraph, prevR, prevH *tensor.Tensor) stepOutput {
+// prev, prevR and prevH may be nil at t=0 (prevR/prevH default to zeros:
+// nothing to inherit); c carries the target's degree sums across the episode.
+func (m *POSHGNN) forward(room *dataset.Room, frame, prev *occlusion.StaticGraph, c *DegreeCache, prevR, prevH *tensor.Tensor) stepOutput {
 	n := room.N
 	spMIA := obs.Begin("mia")
-	agg := m.mia.Aggregate(room, frame, prev)
+	if !m.cfg.UseLWP {
+		c = nil // Δ_t feeds LWP alone
+	}
+	agg := m.mia.Aggregate(room, frame, prev, c, featureDim)
 	spMIA.End()
 	x := tensor.Constant(agg.X)
 	maskT := tensor.Constant(agg.Mask)
@@ -176,9 +180,9 @@ func (m *POSHGNN) forward(room *dataset.Room, frame, prev *occlusion.StaticGraph
 	z = tensor.ReLU(m.lwp2.ForwardSparse(z, agg.Adj))
 	sigma := tensor.Sigmoid(m.lwp3.ForwardSparse(z, agg.Adj))
 
-	// Preservation gate: r_t = m_t ⊗ [(1−σ)⊗r̃_t + σ⊗r_{t−1}].
-	ones := tensor.Constant(tensor.Ones(n, 1))
-	blend := tensor.Add(tensor.Mul(tensor.Sub(ones, sigma), rTilde), tensor.Mul(sigma, prevR))
+	// Preservation gate: r_t = m_t ⊗ [(1−σ)⊗r̃_t + σ⊗r_{t−1}]. 1−σ is formed
+	// as (−σ)+1, which has the same bits and needs no matrix of ones.
+	blend := tensor.Add(tensor.Mul(tensor.AddScalar(tensor.Scale(sigma, -1), 1), rTilde), tensor.Mul(sigma, prevR))
 	out := stepOutput{r: tensor.Mul(maskT, blend), h: h, sigma: sigma, mia: agg}
 	spLWP.End()
 	return out

@@ -120,16 +120,17 @@ func (m *POSHGNN) Train(episodes []Episode) (TrainStats, error) {
 }
 
 // trainEpisode runs one trajectory through the BPTT loop, threading the
-// previous frame, r_{t-1} and h_{t-1} between steps and detaching the
-// recurrent pair at window boundaries.
+// previous frame, MIA's degree cache, r_{t-1} and h_{t-1} between steps and
+// detaching the recurrent pair at window boundaries.
 func (m *POSHGNN) trainEpisode(room *dataset.Room, dog *occlusion.DOG, opt *nn.Adam) (loss, gradNorm float64, updates int, err error) {
 	var (
 		prevFrame    *occlusion.StaticGraph
+		degrees      DegreeCache
 		prevR, prevH *tensor.Tensor
 	)
 	return nn.TrainBPTT(opt, len(dog.Frames), m.cfg.BPTTWindow, func(t int) *tensor.Tensor {
 		frame := dog.Frames[t]
-		out := m.forward(room, frame, prevFrame, prevR, prevH)
+		out := m.forward(room, frame, prevFrame, &degrees, prevR, prevH)
 		l := StepLoss(out.r, prevR, out.mia, m.cfg.Alpha, m.cfg.Beta)
 		prevFrame, prevR, prevH = frame, out.r, out.h
 		return l

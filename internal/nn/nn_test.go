@@ -104,7 +104,7 @@ func TestLinearTrainsToTarget(t *testing.T) {
 	var loss float64
 	for i := 0; i < 300; i++ {
 		p.ZeroGrad()
-		diff := tensor.Sub(l.Forward(xs), ys)
+		diff := tensor.Add(l.Forward(xs), tensor.Scale(ys, -1))
 		lt := tensor.Mean(tensor.Mul(diff, diff))
 		loss = lt.Value.Data[0]
 		tensor.Backward(lt)

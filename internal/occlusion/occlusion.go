@@ -365,30 +365,33 @@ func (g *StaticGraph) VisibleSetInto(dst, present, rendered []bool, interfaces [
 }
 
 // PhysicalMask returns MIA's hybrid-participation mask m_t: 0 for the target
-// herself and for users whose image overlaps a co-located MR participant's
-// physical body — rendering them can never be effective for an MR target
-// (the forced physical image destroys the pair's clarity). For VR targets no
-// one is physically present, so only the target is masked.
+// herself and for every user PhysicallyOccluded reports, 1 for the rest.
 func (g *StaticGraph) PhysicalMask(interfaces []Interface) []float64 {
 	if len(interfaces) != g.N {
 		panic("occlusion: PhysicalMask length mismatch")
 	}
 	mask := make([]float64, g.N)
-	targetMR := interfaces[g.Target] == MR
 	for w := 0; w < g.N; w++ {
-		if w == g.Target {
-			continue
-		}
-		mask[w] = 1
-		if !targetMR {
-			continue
-		}
-		for _, u := range g.Neighbors(w) {
-			if int(u) != g.Target && interfaces[u] == MR {
-				mask[w] = 0
-				break
-			}
+		if w != g.Target && !g.PhysicallyOccluded(w, interfaces) {
+			mask[w] = 1
 		}
 	}
 	return mask
+}
+
+// PhysicallyOccluded is MIA's hybrid-participation rule for one user w: for
+// an MR target, w's image overlaps the physical body of a co-located MR
+// participant other than the target, so rendering w can never be effective
+// (the forced physical image destroys the pair's clarity). For a VR target
+// no one is physically present, so it is always false.
+func (g *StaticGraph) PhysicallyOccluded(w int, interfaces []Interface) bool {
+	if interfaces[g.Target] != MR {
+		return false
+	}
+	for _, u := range g.Neighbors(w) {
+		if int(u) != g.Target && interfaces[u] == MR {
+			return true
+		}
+	}
+	return false
 }

@@ -169,25 +169,6 @@ func Add(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Sub returns a - b (same shapes).
-func Sub(a, b *Tensor) *Tensor {
-	a.Value.assertSameShape(b.Value, "Sub")
-	out := newOp(a.Rows(), a.Cols(), a, b)
-	for i, v := range a.Value.Data {
-		out.Value.Data[i] = v - b.Value.Data[i]
-	}
-	out.back = func() {
-		a.accumulate(out.grad)
-		if b.requires {
-			neg := out.arena.get(out.grad.Rows, out.grad.Cols)
-			copy(neg.Data, out.grad.Data)
-			neg.ScaleInPlace(-1)
-			b.adopt(neg)
-		}
-	}
-	return out
-}
-
 // Mul returns the Hadamard (element-wise) product a ⊗ b.
 func Mul(a, b *Tensor) *Tensor {
 	a.Value.assertSameShape(b.Value, "Mul")

